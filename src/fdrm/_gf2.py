@@ -1,9 +1,10 @@
 """Vectorized GF(2) rank enumeration kernels.
 
-Codewords of a binary code are generated in Gray-code order (one basis
-matrix XORed per step) and ranked in numpy batches.  Rows of an m x n
-binary matrix are packed into one unsigned integer each, so a batch is a
-(B, m) array and elimination runs as m column sweeps over the whole batch.
+Codewords of a binary coset (an offset plus the span of a basis) are
+generated in Gray-code order (one basis matrix XORed per step) and ranked
+in numpy batches.  Rows of an m x n binary matrix are packed into one
+unsigned integer each, so a batch is a (B, m) array and elimination runs
+as m column sweeps over the whole batch.
 """
 
 from __future__ import annotations
@@ -65,20 +66,23 @@ def min_rank_exhaustive(
     basis_rows,
     ncols: int,
     floor: int | None = None,
+    *,
+    offset,
 ) -> int:
-    """Exact minimum rank over all nonzero GF(2) combinations of the basis.
+    """Exact minimum rank over the coset `offset` + GF(2)-span of the basis.
 
-    `basis_rows` is a sequence of K packed-row tuples (each of length m).
-    When `floor` is given, enumeration stops early once a codeword of rank
-    below `floor` is found (the returned value is still a true rank of some
-    nonzero codeword, just not necessarily the global minimum).
+    `offset` is one packed-row tuple (length m) and `basis_rows` a sequence
+    of K >= 0 such tuples.  All 2^K messages are ranked, the zero message
+    included, so a coset that misses zero holds only nonzero codewords; an
+    empty basis ranks the offset alone.  When `floor` is given, enumeration
+    stops early once a codeword of rank below `floor` is found (the returned
+    value is still a true rank of some coset member, just not necessarily
+    the minimum).
     """
     K = len(basis_rows)
-    if K == 0:
-        raise ValueError("zero-dimensional code has no nonzero codewords")
-    m = len(basis_rows[0])
+    m = len(offset)
     dtype = _dtype_for(ncols)
-    basis = np.array(basis_rows, dtype=dtype)
+    basis = np.array(basis_rows, dtype=dtype).reshape(K, m)
 
     low_bits = min(K, _CHUNK_BITS)
     n_low = 1 << low_bits
@@ -91,7 +95,7 @@ def min_rank_exhaustive(
     best = m + 1
     high = K - low_bits
     for outer in range(1 << high):
-        base = np.zeros(m, dtype=dtype)
+        base = np.array(offset, dtype=dtype)
         o = outer
         j = 0
         while o:
@@ -100,10 +104,7 @@ def min_rank_exhaustive(
             o >>= 1
             j += 1
         block = low_table ^ base[None, :]
-        ranks = rank_batch(block)
-        if outer == 0:
-            ranks[0] = m + 1  # the zero codeword does not count
-        blockmin = int(ranks.min())
+        blockmin = int(rank_batch(block).min())
         if blockmin < best:
             best = blockmin
         if floor is not None and best < floor:

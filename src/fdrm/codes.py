@@ -1,10 +1,13 @@
 """FDRM code model: exhaustive rank-distance verification and MRD checks.
 
 A code is stored by an explicit basis of codeword matrices over its entry
-field, so one enumeration engine verifies every construction.  Enumeration
-walks all q^k' - 1 nonzero combinations; a budget (default 2^24 codewords)
-turns oversized requests into a distinct, recoverable signal rather than a
-silent skip.
+field, so one enumeration engine verifies every construction.  Every
+nonzero multiple of a codeword has its rank, so the engine ranks one
+representative per line of nonzero codewords: per F_q-line for any code,
+per F_{q^m}-line for the generator expansions `mrd_check` verifies.  A
+budget (default 2^24) counts the claim's q^k' codewords, not the
+representatives, and turns oversized requests into a distinct, recoverable
+signal rather than a silent skip.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 from . import _gf2
 from .fields import GF, FieldTower, gf
 from .ferrers import FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF, rank, rref, valid_length
+from .linalg import MatrixF, _eliminate, rank, rref, valid_length
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -65,6 +68,10 @@ class FdrmCode:
 
     def __post_init__(self):
         m, n = self.diagram.m, self.diagram.n
+        if not 1 <= self.claimed_delta <= min(m, n):
+            raise CodeError(
+                f"claimed distance {self.claimed_delta} outside 1..{min(m, n)}"
+            )
         for b in self.basis:
             if b.field is not self.field:
                 raise CodeError("basis matrix field differs from code field")
@@ -118,7 +125,22 @@ def _prime_basis(code: FdrmCode) -> list[MatrixF]:
     return out
 
 
-def _min_rank(code: FdrmCode, budget: int, floor: int | None) -> int:
+def _min_rank(
+    code: FdrmCode, budget: int, floor: int | None, line: int = 1
+) -> int:
+    """Minimum rank over one representative of every line of nonzero codewords.
+
+    `_prime_basis` lists the GF(p)-basis in blocks of e = degree * `line`
+    matrices, block j spanning the F_{p^e}-line {lambda b_j}.  Every nonzero
+    multiple of a codeword has its rank (psi(lambda c) = M_lambda psi(c) with
+    M_lambda invertible), and every nonzero codeword is a multiple of exactly
+    one member of the cosets b_j + span(blocks after j).  Walking those
+    cosets ranks (p^{eK} - 1)/(p^e - 1) codewords instead of p^{eK} - 1.
+    `line` > 1 is sound only for an F_{q^line}-linear code laid out as
+    `code_from_generator` does; the default covers every code, since each
+    basis matrix spans an F_q-line.  The budget counts the claim's q^k'
+    codewords, not the representatives.
+    """
     kp = code.dimension
     if kp < 1:
         raise CodeError("zero-dimensional code has no distance")
@@ -128,32 +150,45 @@ def _min_rank(code: FdrmCode, budget: int, floor: int | None) -> int:
             f"{total} codewords exceed budget {budget}"
         )
     expanded = _prime_basis(code)
-    p = code.field.p
-    n = code.diagram.n
-    if p == 2 and code.field.degree == 1 and n <= 64:
-        packed = [_gf2.pack_rows(b.rows, n) for b in expanded]
-        return _gf2.min_rank_exhaustive(packed, n, floor=floor)
-    # Generic odometer over GF(p) message digits, on raw row lists.
-    from .linalg import _eliminate
-
+    e = code.field.degree * line
+    mrows, n = code.ambient
     field = code.field
+    if field.p == 2 and field.degree == 1 and n <= 64:
+        packed = [_gf2.pack_rows(b.rows, n) for b in expanded]
+
+        def coset_min(j):
+            return _gf2.min_rank_exhaustive(
+                packed[j + e :], n, floor=floor, offset=packed[j]
+            )
+    else:
+        flat = [[x for row in b.rows for x in row] for b in expanded]
+
+        def coset_min(j):
+            return _odometer_min_rank(field, mrows, n, flat[j], flat[j + e :], floor)
+
+    best = min(mrows, n) + 1
+    for j in range(0, len(expanded), e):
+        best = min(best, coset_min(j))
+        if floor is not None and best < floor:
+            break
+    return best
+
+
+def _odometer_min_rank(
+    field: GF, mrows: int, n: int, offset: list, span: list, floor: int | None
+) -> int:
+    """Generic kernel: minimum rank over the coset `offset` + GF(p)-span(`span`).
+
+    Matrices are flat row-major entry lists; the message digits advance as an
+    odometer, so each step adds one basis matrix.
+    """
     add = field.add
-    K = len(expanded)
-    mrows = code.diagram.m
-    flat_basis = [[e for row in b.rows for e in row] for b in expanded]
+    p = field.p
+    K = len(span)
     best = min(mrows, n) + 1
     msg = [0] * K
-    cur = [0] * (mrows * n)
-    for _ in range(p**K - 1):
-        i = 0
-        while True:
-            msg[i] += 1
-            bi = flat_basis[i]
-            cur = [add(a, b) for a, b in zip(cur, bi)]
-            if msg[i] < p:
-                break
-            msg[i] = 0
-            i += 1
+    cur = offset
+    for _ in range(p**K):
         rows = [cur[r * n : (r + 1) * n] for r in range(mrows)]
         _, pivots = _eliminate(rows, field, reduced=False)
         r = len(pivots)
@@ -161,6 +196,12 @@ def _min_rank(code: FdrmCode, budget: int, floor: int | None) -> int:
             best = r
             if floor is not None and best < floor:
                 return best
+        for i in range(K):
+            cur = [add(a, b) for a, b in zip(cur, span[i])]
+            msg[i] += 1
+            if msg[i] < p:
+                break
+            msg[i] = 0
     return best
 
 
@@ -178,6 +219,8 @@ def sampled_min_rank(
     code: FdrmCode, samples: int, seed: int = 0
 ) -> int:
     """Minimum rank over random nonzero codewords (probe, not a proof)."""
+    if samples < 1:
+        raise CodeError(f"a probe needs at least one sample, got {samples}")
     expanded = _prime_basis(code)
     p = code.field.p
     n = code.diagram.n
@@ -285,7 +328,7 @@ def mrd_check(
         return False  # dependent rows cannot reach the MRD dimension
     if code.dimension != expected:
         return False
-    return distance_at_least(code, delta, budget)
+    return _min_rank(code, budget, floor=delta, line=m) >= delta
 
 
 def restrict_subcode(

@@ -262,6 +262,28 @@ def mrd_witness_check(tower: FieldTower, matrix: MatrixF, delta: int) -> bool:
     return True
 
 
+def _free_column_isometry(tower: FieldTower, k: int, n: int, rng) -> MatrixF:
+    """Random n x n matrix over F_q that fixes columns 0..k and mixes the rest.
+
+    Free column c becomes sum_u T[u][c] col_u (u free, T invertible) plus
+    sum_{j <= k} S[j][c] col_j; right multiplication by an invertible
+    F_q-matrix keeps the rank of every codeword.
+    """
+    base, free = tower.base, range(k + 1, n)
+    while True:
+        T = [[rng.randrange(base.order) for _ in free] for _ in free]
+        if not T or rank(MatrixF.from_rows(base, T)) == len(T):
+            break
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t, c in enumerate(free):
+        for j in range(k + 1):
+            rows[j][c] = rng.randrange(base.order)
+        for u, r in enumerate(free):
+            rows[r][c] = T[u][t]
+    emb = [tower.base_embed(v) for v in range(base.order)]
+    return MatrixF.from_rows(tower.field, [[emb[v] for v in row] for row in rows])
+
+
 def systematic_mrd_with_first_column(
     tower: FieldTower,
     a,
@@ -274,10 +296,14 @@ def systematic_mrd_with_first_column(
     """Verified systematic MRD generator whose A-block starts with column a.
 
     Existence is guaranteed for independent (1, a_1, ..., a_k); the cited
-    construction is replaced by a seeded column-incremental search: each
-    free column is sampled until the kernel witnesses ending at it pass,
-    with global restarts, then the winner is checked exhaustively.  The
-    first column is exact, never approximated.
+    construction is replaced by a column-incremental search: each free
+    column is sampled until the kernel witnesses ending at it pass, with
+    global restarts.  The search runs in one fixed pseudo-random order, so
+    its cost does not depend on `seed`.  The seed then picks an isometric
+    copy: F_q-column operations that map each free column to an invertible
+    combination of the free columns plus any combination of the first k+1
+    columns preserve every codeword's rank and fix [I | a].  The result is
+    checked exhaustively.  The first column is exact, never approximated.
     """
     a = tuple(tower.field.check(x) for x in a)
     m = tower.top_degree
@@ -305,9 +331,11 @@ def systematic_mrd_with_first_column(
                     "independence precondition"
                 )
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     attempts = 0
-    per_column = 512
+    # Most sampled prefixes leave no valid next column at all (at q^m = 32,
+    # k = 2 about 7 in 8 do), so a column gets few tries before a restart.
+    per_column = 32
     while True:
         done = True
         for c in range(k + 1, n):
@@ -331,7 +359,7 @@ def systematic_mrd_with_first_column(
 
     G = MatrixF.from_rows(
         tower.field, [tuple(cols[j][i] for j in range(n)) for i in range(k)]
-    )
+    ).mul(_free_column_isometry(tower, k, n, random.Random(seed)))
     if not mrd_check(tower, G, delta, budget):
         raise CodeError("witness filter and exhaustive check disagree")
     return SystematicGenerator(

@@ -123,6 +123,17 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("delta", [-3, 0, 3])
+def test_verify_rejects_delta_outside_rank_range(tmp_path, capsys, delta):
+    path = tmp_path / "c.json"
+    assert main(["construct", "--construction", "shortened", "-F", "[2,2]",
+                 "-d", "2", "--json", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    cert["delta"] = delta  # ranks of a 2x2 code lie in 1..2
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 2
+
+
 def test_verify_parse_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -120,6 +120,20 @@ def test_sampled_min_rank_upper_bounds_true_min():
     assert sampled_min_rank(code, 500, seed=3) >= true_min
 
 
+def test_sampled_min_rank_needs_a_sample():
+    _, _, code = gabidulin_code(3, 2)
+    for samples in (0, -1):
+        with pytest.raises(CodeError):
+            sampled_min_rank(code, samples)  # no codeword drawn, no rank to report
+
+
+@pytest.mark.parametrize("delta", [0, -2, 4])
+def test_claimed_delta_outside_rank_range_rejected(delta):
+    # a 3x3 code's ranks lie in 1..3; certify used to call delta 0 and -2 verified
+    with pytest.raises(CodeError):
+        make_code(F2, full_diagram(3, 3), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], delta)
+
+
 # -- support --
 
 

@@ -129,6 +129,19 @@ def test_prescribed_column_power_points():
     assert mrd_check(t, gen.matrix, 2)
 
 
+def test_prescribed_column_search_cost_independent_of_seed():
+    t = build_tower(2, 1, (5,))
+    beta = t.beta(2)
+    a = (t.field.mul(beta, beta), beta)
+    gens = [systematic_mrd_with_first_column(t, a, 4, 5, seed=s) for s in range(6)]
+    # One search for every seed; the seed only picks the isometric copy.
+    assert len({g.provenance["attempts"] for g in gens}) == 1
+    assert len({g.matrix.rows for g in gens}) > 1
+    for g in gens:
+        assert [g.matrix.col(j) for j in range(3)] == [(1, 0), (0, 1), a]
+        assert mrd_check(t, g.matrix, 4)
+
+
 def test_prescribed_column_dependence_rejected():
     t = build_tower(2, 1, (3,))
     with pytest.raises(ConstructionError):
