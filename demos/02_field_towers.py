@@ -7,7 +7,6 @@ multiplication-matrix map pi embeds the field into square matrices.
 """
 
 from fdrm import build_tower
-from fdrm.fields import pi_expand, psi, psi_inv
 
 tower = build_tower(2, 1, (2, 4))
 print(f"{tower}: top field GF(2^4), modulus {tower.field.modulus}")
@@ -24,11 +23,11 @@ for z in (1, 2):
 print()
 
 vec = (tower.beta(3), 0, 1)
-mat = psi(tower, vec)
+mat = tower.psi(vec)
 print(f"psi{vec} =")
 for row in mat:
     print("  ", row)
-print(f"psi_inv round-trips: {psi_inv(tower, mat) == vec}")
+print(f"psi_inv round-trips: {tower.psi_inv(mat) == vec}")
 print()
 
 def matmul_gfp(base, A, B):
@@ -47,9 +46,9 @@ def matmul_gfp(base, A, B):
 
 t8 = build_tower(2, 1, (3,))
 alpha = t8.field.alpha
-pa = pi_expand(t8, alpha)
+pa = t8.pi_expand(alpha)
 print("pi on GF(2^3): pi(alpha) is the companion matrix of the modulus")
 for row in pa:
     print("  ", row)
-squared = pi_expand(t8, t8.field.mul(alpha, alpha))
+squared = t8.pi_expand(t8.field.mul(alpha, alpha))
 print("pi(alpha^2) = pi(alpha)^2 holds:", squared == matmul_gfp(t8.base, pa, pa))

@@ -3,7 +3,9 @@
 Exit codes form a contract scripts can branch on:
 
 * 0: constructed and every in-budget verification passed;
-* 2: unparseable input (diagram, field, certificate);
+* 1: verification failed (a support or distance check found a codeword
+  the claim does not allow);
+* 2: unparseable or malformed input (diagram, field, request, certificate);
 * 3: the construction's stated preconditions reject the input;
 * 4: constructed, but distance verification exceeded the codeword budget
   (the certificate is written and marked unverified-at-scale).
@@ -108,7 +110,9 @@ def _rebuild(path: str):
     data = _load_cert(path)
     try:
         return code_from_certificate(data)
-    except (CodeError, DiagramError, FieldError, KeyError, ValueError) as e:
+    except (
+        AttributeError, CodeError, DiagramError, FieldError, KeyError, TypeError, ValueError
+    ) as e:
         raise _Exit(EXIT_PARSE, f"certificate {path}: {e}")
 
 
@@ -142,21 +146,29 @@ def _apply_request(args) -> None:
     field (either {"p","s","chain",...} or {"q",...}).
     """
     req = _load_cert(args.request)
-    args.construction = req.get("construction", args.construction)
-    args.diagram = req.get("diagram", args.diagram)
-    for key in ("delta", "r", "w", "seed", "budget"):
-        if key in req:
-            setattr(args, key, int(req[key]))
-    fld = req.get("field", {})
-    if "q" in fld:
-        args.q = int(fld["q"])
-    if "p" in fld:
-        args.p, args.q = int(fld["p"]), None
-    if "s" in fld:
-        args.s = int(fld["s"])
-    chain = req.get("chain", fld.get("chain"))
-    if chain is not None:
-        args.chain = ",".join(str(t) for t in chain)
+    if not isinstance(req, dict):
+        raise _Exit(EXIT_PARSE, f"request {args.request}: not a JSON object")
+    try:
+        for key in ("construction", "diagram"):
+            if key in req:
+                if not isinstance(req[key], str):
+                    raise TypeError(f"{key} must be a string")
+                setattr(args, key, req[key])
+        for key in ("delta", "r", "w", "seed", "budget"):
+            if key in req:
+                setattr(args, key, int(req[key]))
+        fld = req.get("field", {})
+        if "q" in fld:
+            args.q = int(fld["q"])
+        if "p" in fld:
+            args.p, args.q = int(fld["p"]), None
+        if "s" in fld:
+            args.s = int(fld["s"])
+        chain = req.get("chain", fld.get("chain"))
+        if chain is not None:
+            args.chain = ",".join(str(t) for t in chain)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise _Exit(EXIT_PARSE, f"request {args.request}: {e}")
 
 
 def _cmd_construct(args) -> int:

@@ -12,12 +12,13 @@ signal rather than a silent skip.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 from . import _gf2
-from .fields import GF, FieldTower, gf
+from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
 from .ferrers import FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF, _eliminate, rank, rref, valid_length
+from .linalg import MatrixF, rank, rref, valid_length
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -125,6 +126,25 @@ def _prime_basis(code: FdrmCode) -> list[MatrixF]:
     return out
 
 
+def _kernel_basis(code: FdrmCode) -> tuple[bool, list]:
+    """The GF(p)-basis of `_prime_basis` laid out for its rank kernel.
+
+    Returns (packed, rows).  GF(2) matrices of at most 64 columns go to the
+    numpy kernels in `_gf2`, one packed int per matrix row; every other
+    code goes to `_flat_rank` as flat row-major entry lists.
+    """
+    field, n = code.field, code.diagram.n
+    expanded = _prime_basis(code)
+    if field.p == 2 and field.degree == 1 and n <= 64:
+        return True, [_gf2.pack_rows(b.rows, n) for b in expanded]
+    return False, [[x for row in b.rows for x in row] for b in expanded]
+
+
+def _flat_rank(field: GF, n: int, flat: list) -> int:
+    """Rank of the matrix with n columns stored row-major in `flat`."""
+    return len(eliminate([flat[i : i + n] for i in range(0, len(flat), n)], field))
+
+
 def _min_rank(
     code: FdrmCode, budget: int, floor: int | None, line: int = 1
 ) -> int:
@@ -149,25 +169,23 @@ def _min_rank(
         raise BudgetExceeded(
             f"{total} codewords exceed budget {budget}"
         )
-    expanded = _prime_basis(code)
+    packed, basis = _kernel_basis(code)
     e = code.field.degree * line
     mrows, n = code.ambient
     field = code.field
-    if field.p == 2 and field.degree == 1 and n <= 64:
-        packed = [_gf2.pack_rows(b.rows, n) for b in expanded]
+    if packed:
 
         def coset_min(j):
             return _gf2.min_rank_exhaustive(
-                packed[j + e :], n, floor=floor, offset=packed[j]
+                basis[j + e :], n, floor=floor, offset=basis[j]
             )
     else:
-        flat = [[x for row in b.rows for x in row] for b in expanded]
 
         def coset_min(j):
-            return _odometer_min_rank(field, mrows, n, flat[j], flat[j + e :], floor)
+            return _odometer_min_rank(field, n, basis[j], basis[j + e :], floor)
 
     best = min(mrows, n) + 1
-    for j in range(0, len(expanded), e):
+    for j in range(0, len(basis), e):
         best = min(best, coset_min(j))
         if floor is not None and best < floor:
             break
@@ -175,23 +193,21 @@ def _min_rank(
 
 
 def _odometer_min_rank(
-    field: GF, mrows: int, n: int, offset: list, span: list, floor: int | None
+    field: GF, n: int, offset: list, span: list, floor: int | None
 ) -> int:
     """Generic kernel: minimum rank over the coset `offset` + GF(p)-span(`span`).
 
-    Matrices are flat row-major entry lists; the message digits advance as an
-    odometer, so each step adds one basis matrix.
+    Matrices are flat row-major entry lists with n columns; the message
+    digits advance as an odometer, so each step adds one basis matrix.
     """
     add = field.add
     p = field.p
     K = len(span)
-    best = min(mrows, n) + 1
+    best = n + 1
     msg = [0] * K
     cur = offset
     for _ in range(p**K):
-        rows = [cur[r * n : (r + 1) * n] for r in range(mrows)]
-        _, pivots = _eliminate(rows, field, reduced=False)
-        r = len(pivots)
+        r = _flat_rank(field, n, cur)
         if r < best:
             best = r
             if floor is not None and best < floor:
@@ -221,27 +237,31 @@ def sampled_min_rank(
     """Minimum rank over random nonzero codewords (probe, not a proof)."""
     if samples < 1:
         raise CodeError(f"a probe needs at least one sample, got {samples}")
-    expanded = _prime_basis(code)
-    p = code.field.p
-    n = code.diagram.n
-    if p == 2 and code.field.degree == 1 and n <= 64:
-        packed = [_gf2.pack_rows(b.rows, n) for b in expanded]
-        return _gf2.min_rank_sampled(packed, n, samples, seed)
-    import random
-
+    if code.dimension < 1:
+        raise CodeError("zero-dimensional code has no nonzero codeword")
+    field, n = code.field, code.diagram.n
+    packed, basis = _kernel_basis(code)
+    if packed:
+        return _gf2.min_rank_sampled(basis, n, samples, seed)
+    p = field.p
+    add = field.add
+    # multiples[i][d] = d * basis[i] for each digit d
+    multiples = [
+        [None] + [[field.mul(d, x) for x in b] for d in range(1, p)] for b in basis
+    ]
     rng = random.Random(seed)
     best = min(code.diagram.m, n) + 1
-    K = len(expanded)
+    K = len(basis)
     for _ in range(samples):
         while True:
             digits = [rng.randrange(p) for _ in range(K)]
             if any(digits):
                 break
-        cur = MatrixF.zeros(code.field, code.diagram.m, n)
-        for d, b in zip(digits, expanded):
+        cur = [0] * len(basis[0])
+        for d, mult in zip(digits, multiples):
             if d:
-                cur = cur.add(b if d == 1 else b.scale(d))
-        best = min(best, rank(cur))
+                cur = [add(a, b) for a, b in zip(cur, mult[d])]
+        best = min(best, _flat_rank(field, n, cur))
     return best
 
 
@@ -453,11 +473,30 @@ def certificate(code: FdrmCode, field_serial: dict | None = None) -> dict:
 
 
 def code_from_certificate(data: dict) -> FdrmCode:
+    """Rebuild a code from its certificate.
+
+    Only `entry_field`, `diagram`, `dimension`, `delta`, `verified`,
+    `provenance` and `basis` are read; the `field` block is informational.
+    The entry field is checked against degree DEFAULT_MAX_DEGREE and order
+    2^DEFAULT_MAX_DEGREE before it is built, since building a field costs
+    time that grows with its order.
+    """
     ef = data["entry_field"]
-    field = gf(int(ef["p"]), int(ef["degree"]))
+    p, degree = int(ef["p"]), int(ef["degree"])
+    if not 1 <= degree <= DEFAULT_MAX_DEGREE or abs(p) ** degree > 1 << DEFAULT_MAX_DEGREE:
+        raise CodeError(
+            f"entry field GF({p}^{degree}) is outside degree 1..{DEFAULT_MAX_DEGREE}"
+            f" and order 2^{DEFAULT_MAX_DEGREE}"
+        )
+    field = gf(p, degree)
     if "modulus" in ef and tuple(ef["modulus"]) != field.modulus:
         raise CodeError("certificate modulus does not match canonical modulus")
     diagram = FerrersDiagram.parse(data["diagram"])
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise CodeError("certificate provenance must be an object")
+    if not data["basis"]:
+        raise CodeError("certificate has an empty basis")
     basis = tuple(
         MatrixF.from_rows(
             field, [_row_parse(field, r, diagram.n) for r in rows]
@@ -469,7 +508,7 @@ def code_from_certificate(data: dict) -> FdrmCode:
         diagram=diagram,
         basis=basis,
         claimed_delta=int(data["delta"]),
-        provenance=dict(data.get("provenance", {})),
+        provenance=dict(provenance),
         verified=bool(data.get("verified", False)),
     )
     if code.dimension != int(data["dimension"]):

@@ -42,7 +42,7 @@ from .codes import (
     mrd_check,
     restrict_subcode,
 )
-from .fields import GF, FieldTower, SubfieldMap, build_tower, gf
+from .fields import GF, FieldTower, SubfieldMap, build_tower, eliminate, gf
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
 from .linalg import MatrixF, block_compose, rank, systematic_form
 
@@ -201,6 +201,11 @@ def _prepare_witnesses(tower: FieldTower, group) -> tuple:
 
 
 def _det_nonzero(f, gw, k: int) -> bool:
+    """True iff the k x k matrix `gw` (row lists, consumed) is invertible.
+
+    Closed-form determinants for k <= 3 keep the prescribed-column search
+    about twice as fast as elimination would.
+    """
     if k == 1:
         return gw[0][0] != 0
     if k == 2:
@@ -221,7 +226,7 @@ def _det_nonzero(f, gw, k: int) -> bool:
             f.mul(gw[0][1], f.mul(gw[1][0], gw[2][2])),
         )
         return f.sub(pos, neg) != 0
-    return rank(MatrixF.from_rows(f, gw)) == k
+    return len(eliminate(gw, f)) == k
 
 
 def _gw_invertible(tower: FieldTower, cols, prepared) -> bool:
@@ -525,22 +530,17 @@ def construct_prescribed_column(
 def _first_independent_extension(tower: FieldTower, core) -> int:
     """Smallest field element extending `core` to an independent family."""
     f = tower.field
-    from .fields import _rref_mod_p
-
-    rows = [list(f.coeffs(c)) for c in core]
-    ech, pivots = _rref_mod_p(rows, f.p)
-    ech = [r for r in ech if any(r)]
-    if len(pivots) != len(rows):
+    fp = gf(f.p, 1)
+    ech = [list(f.coeffs(c)) for c in core]
+    if len(eliminate(ech, fp)) != len(ech):
         raise ConstructionError("core points are dependent")
     for cand in range(1, f.order):
-        trial = ech + [list(f.coeffs(cand))]
-        _, piv = _rref_mod_p(trial, f.p)
-        if len(piv) == len(ech) + 1:
+        if len(eliminate(ech + [list(f.coeffs(cand))], fp)) == len(ech) + 1:
             return cand
     raise ConstructionError("no independent extension point exists")
 
 
-def _column_level(tower: FieldTower, j: int, eta: int) -> int:
+def _column_level(tower: FieldTower, j: int) -> int:
     """Tower level whose field must contain entries of generator column j."""
     if tower.levels == 1:
         return 1
@@ -612,7 +612,7 @@ def build_extended_generator(
 
     G = MatrixF.from_rows(f, rows)
     for j in range(kappa, eta):
-        x = _column_level(tower, j, eta)
+        x = _column_level(tower, j)
         for i in range(kappa):
             if not tower.in_level(G.entry(i, j), x):
                 raise CodeError(

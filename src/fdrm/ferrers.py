@@ -112,8 +112,4 @@ def combine_diagrams(
         pad = n3 - f2.n
         extra = f2.gammas[j - pad] if j >= pad else 0
         right.append(m3 + extra)
-    gammas = tuple(f1.gammas) + tuple(right)
-    out = FerrersDiagram(gammas)
-    if any(a > b for a, b in zip(out.gammas, out.gammas[1:])):
-        raise DiagramError("combination is not a Ferrers diagram")
-    return out
+    return FerrersDiagram(tuple(f1.gammas) + tuple(right))

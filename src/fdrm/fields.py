@@ -320,12 +320,6 @@ class GF:
             return False
         return self.frob_p(a, sub_degree) == a
 
-    def mul_matrix(self, a: int) -> tuple[tuple[int, ...], ...]:
-        """n x n matrix over GF(p) of multiplication by a in the power basis."""
-        p, n = self.p, self.degree
-        cols = [_digits(self.mul(a, self.from_coeffs([0] * j + [1])), p, n) for j in range(n)]
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
 
 @functools.lru_cache(maxsize=None)
 def gf(p: int, n: int) -> GF:
@@ -333,45 +327,46 @@ def gf(p: int, n: int) -> GF:
     return GF(p, n)
 
 
-# -- GF(p) linear algebra on digit rows (internal) --
+# -- Gaussian elimination --
 
 
-def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p); returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
+def eliminate(rows: list[list[int]], field: GF, reduced: bool = False) -> list[int]:
+    """Row-reduce `rows` over `field` in place; return the pivot columns.
+
+    The one elimination routine of the package: rank, echelon and reduced
+    forms, inverses and independence tests over GF(p) coordinates all run
+    it.  The pivot is the first nonzero entry scanning top to bottom (exact
+    fields have no magnitude to prefer), and each pivot row is scaled to a
+    leading 1.  Pivot rows end up first, in order; with `reduced` every
+    pivot column is cleared above its pivot as well, giving the reduced row
+    echelon form.  The list is rewritten with new row lists, so the caller's
+    row objects are never mutated.  The rank is len(pivots).
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    inv, mul, sub = field.inv, field.mul, field.sub
     pivots = []
     r = 0
     for c in range(ncols):
         sel = None
         for i in range(r, nrows):
-            if rows[i][c] % p:
+            if rows[i][c]:
                 sel = i
                 break
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        lead = inv(rows[r][c])
+        prow = rows[r] = [mul(lead, x) for x in rows[r]]
+        for i in range(nrows) if reduced else range(r + 1, nrows):
+            fct = rows[i][c]
+            if i != r and fct:
+                rows[i] = [sub(x, mul(fct, y)) for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
-
-
-def _invert_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, pivots = _rref_mod_p(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise FieldError("coordinate basis matrix is singular")
-    return [r[n:] for r in red]
+    return pivots
 
 
 class SubfieldMap:
@@ -402,8 +397,14 @@ class SubfieldMap:
             for rp in root_pows:
                 expanded.append(list(field.coeffs(field.mul(b, rp))))
         # Columns of M are the GF(p)-coordinates of beta_i * root^j.
-        mat = [[expanded[k][i] for k in range(field.degree)] for i in range(field.degree)]
-        self._minv = _invert_mod_p(mat, p)
+        n = field.degree
+        aug = [
+            [expanded[k][i] for k in range(n)] + [int(i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        if eliminate(aug, gf(p, 1), reduced=True) != list(range(n)):
+            raise FieldError("coordinate basis matrix is singular")
+        self._minv = [r[n:] for r in aug]
         self._root_pows = root_pows
 
     def _find_canonical_root(self) -> int:
@@ -572,10 +573,7 @@ class FieldTower:
         for e in elems:
             for b in sub_basis:
                 rows.append(list(self.field.coeffs(self.field.mul(e, b))))
-        if not rows:
-            return True
-        _, pivots = _rref_mod_p(rows, self.p)
-        return len(pivots) == len(elems) * sub_deg
+        return len(eliminate(rows, gf(self.p, 1))) == len(rows)
 
     def serialize(self) -> dict:
         return {
@@ -601,17 +599,15 @@ def _greedy_level_basis(field: GF, p: int, s: int, t_prev: int, t_cur: int) -> t
     g = field.alpha_pow(lower_step)
     lower_basis = [field.pow_(g, j) for j in range(sub_deg)]
 
+    fp = gf(p, 1)
     chosen = [1]
-    rows = [list(field.coeffs(b)) for b in lower_basis]
-    echelon, _ = _rref_mod_p(rows, p)
-    echelon = [r for r in echelon if any(r)]
+    echelon = [list(field.coeffs(b)) for b in lower_basis]
+    del echelon[len(eliminate(echelon, fp)) :]
 
     def try_insert(elem: int) -> bool:
-        new_rows = [list(field.coeffs(field.mul(elem, b))) for b in lower_basis]
-        trial = echelon + new_rows
-        red, pivots = _rref_mod_p(trial, p)
-        if len(pivots) == len(echelon) + sub_deg:
-            echelon[:] = [r for r in red if any(r)]
+        trial = echelon + [list(field.coeffs(field.mul(elem, b))) for b in lower_basis]
+        if len(eliminate(trial, fp)) == len(trial):
+            echelon[:] = trial
             return True
         return False
 
@@ -704,43 +700,3 @@ def build_tower(
         _beta_map=beta_map,
         _power_map=power_map,
     )
-
-
-def tower_from_serial(d: dict) -> FieldTower:
-    """Rebuild a tower from its serialized description.
-
-    The modulus is implied by (p, s, chain) since moduli are canonical; a
-    mismatch means the description came from an incompatible build.
-    """
-    tower = build_tower(int(d["p"]), int(d["s"]), tuple(int(t) for t in d["chain"]))
-    if "modulus" in d and tuple(d["modulus"]) != tower.field.modulus:
-        raise FieldError("serialized modulus does not match canonical modulus")
-    return tower
-
-
-# -- functional views of the tower operations --
-
-
-def frobenius(tower: FieldTower, a: int, i: int = 1) -> int:
-    """a**(q**i) in the tower's top field."""
-    return tower.frobenius(a, i)
-
-
-def psi(tower: FieldTower, vec) -> tuple[tuple[int, ...], ...]:
-    """Coordinate matrix (t_l x n over F_q) of a top-field vector."""
-    return tower.psi(vec)
-
-
-def psi_inv(tower: FieldTower, rows) -> tuple[int, ...]:
-    """Inverse of psi: a top-field vector from its coordinate matrix."""
-    return tower.psi_inv(rows)
-
-
-def pi_expand(tower: FieldTower, a: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplication-by-a matrix in the power basis, over F_q."""
-    return tower.pi_expand(a)
-
-
-def independent_over_subfield(tower: FieldTower, elems, level: int) -> bool:
-    """Linear independence over the level field F_{q^{t_level}}."""
-    return tower.independent_over_level(elems, level)

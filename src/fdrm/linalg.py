@@ -1,16 +1,16 @@
 """Exact matrices over GF(p^n): rank, reduced forms, block assembly.
 
 One generic implementation serves matrices over a base field and over an
-extension field; the field tag on MatrixF decides the arithmetic.  Pivoting
-is always "first nonzero entry scanning top to bottom": exact fields have
-no pivot-magnitude concept, and determinism matters more than fill-in.
+extension field; the field tag on MatrixF decides the arithmetic.  Rank,
+rref and inverses run `fields.eliminate`, the package's one elimination
+routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import GF
+from .fields import GF, eliminate
 
 
 class LinalgError(ValueError):
@@ -76,11 +76,6 @@ class MatrixF:
             raise LinalgError("hstack mismatch")
         return MatrixF(self.field, tuple(a + b for a, b in zip(self.rows, other.rows)))
 
-    def vstack(self, other: "MatrixF") -> "MatrixF":
-        if other.field is not self.field or other.ncols != self.ncols:
-            raise LinalgError("vstack mismatch")
-        return MatrixF(self.field, self.rows + other.rows)
-
     def add(self, other: "MatrixF") -> "MatrixF":
         if other.field is not self.field or other.shape != self.shape:
             raise LinalgError("add mismatch")
@@ -128,51 +123,16 @@ class MatrixF:
             out.append(acc)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in r) for r in self.rows)
-
-
-def _eliminate(rows: list[list[int]], field: GF, reduced: bool) -> tuple[list[list[int]], list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i != r and rows[i][c]:
-                fct = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(fct, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
 
 def rank(M: MatrixF) -> int:
     """Rank by Gaussian elimination over the entry field."""
-    rows = [list(r) for r in M.rows]
-    _, pivots = _eliminate(rows, M.field, reduced=False)
-    return len(pivots)
+    return len(eliminate([list(r) for r in M.rows], M.field))
 
 
 def rref(M: MatrixF) -> tuple[MatrixF, list[int]]:
     """Reduced row echelon form and pivot columns (zero rows kept at bottom)."""
     rows = [list(r) for r in M.rows]
-    rows, pivots = _eliminate(rows, M.field, reduced=True)
+    pivots = eliminate(rows, M.field, reduced=True)
     return MatrixF.from_rows(M.field, rows), pivots
 
 
@@ -181,8 +141,7 @@ def invert(M: MatrixF) -> MatrixF:
         raise LinalgError("only square matrices invert")
     n = M.nrows
     aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(M.rows)]
-    aug, pivots = _eliminate(aug, M.field, reduced=True)
-    if pivots[:n] != list(range(n)):
+    if eliminate(aug, M.field, reduced=True)[:n] != list(range(n)):
         raise LinalgError("singular matrix")
     return MatrixF.from_rows(M.field, [r[n:] for r in aug])
 
@@ -207,25 +166,6 @@ def valid_length(vec) -> int:
         if v:
             vl = i + 1
     return vl
-
-
-def serialize_matrix(M: MatrixF) -> list:
-    """Row-major serialization: each entry as its coefficient vector.
-
-    Base-field matrices (degree-1 entries) serialize more compactly as one
-    digit string per row.
-    """
-    if M.field.degree == 1:
-        return ["".join(str(e) for e in row) for row in M.rows]
-    return [[list(M.field.coeffs(e)) for e in row] for row in M.rows]
-
-
-def matrix_from_serial(field: GF, data) -> MatrixF:
-    if field.degree == 1:
-        return MatrixF.from_rows(field, [[int(c) for c in row] for row in data])
-    return MatrixF.from_rows(
-        field, [[field.from_coeffs(e) for e in row] for row in data]
-    )
 
 
 def block_compose(

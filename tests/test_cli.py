@@ -1,6 +1,8 @@
 """CLI contract tests: output formats, exit codes, certificate round trips."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -191,3 +193,89 @@ def test_construct_from_request_file(tmp_path, capsys):
     cert = json.loads(out.read_text())
     assert cert["dimension"] == 8 and cert["verified"] is True
     assert main(["construct", "-F", "[2,2]", "-d", "2"]) == 2  # no construction
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _request(tmp_path, req):
+    return ["construct", "--request", _write(tmp_path / "req.json", req)]
+
+
+def _tampered_cert(tmp_path, edit):
+    path = tmp_path / "c.json"
+    assert main(["construct", "--construction", "shortened", "-F", "[2,2]",
+                 "-d", "2", "--json", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    edit(cert)
+    return ["verify", _write(path, cert)]
+
+
+def _zero_dimension(cert):
+    cert["dimension"], cert["basis"] = 0, []
+
+
+def _integer_rows(cert):
+    cert["basis"] = [[int(row) for row in b] for b in cert["basis"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: _request(tmp, {"delta": "x"}),
+        lambda tmp: _request(tmp, ["construction", "staircase"]),
+        lambda tmp: _tampered_cert(tmp, _zero_dimension),
+        lambda tmp: _tampered_cert(tmp, _integer_rows),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.update(provenance=[1])),
+    ],
+    ids=["request-delta-x", "request-list", "cert-zero-dimension",
+         "cert-integer-rows", "cert-provenance-list"],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("fdrm: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_oversized_entry_field_quickly(tmp_path, capsys):
+    cert = {"entry_field": {"p": 2, "degree": 40}, "diagram": "[1]",
+            "dimension": 1, "delta": 1, "basis": [["1"]]}
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", _write(tmp_path / "big.json", cert))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and "GF(2^40)" in err
+
+
+# SHA-256 of each README pipeline certificate, as pinned by the benchmark
+# (perfbench/workloads.py, cli_ops): certificates must stay byte-identical.
+README_PIPELINE = [
+    ("c1.json", ["construct", "--construction", "shortened", "-F", "[2,3,3]",
+                 "-d", "3", "-q", "4", "--json", "c1.json"],
+     "9ea6cf5d962977382e6c4589cfae35995a01c9f1acc2ffce58176aa6324ead48"),
+    ("c2.json", ["construct", "--construction", "shortened", "-F", "[2]",
+                 "-d", "1", "-q", "4", "--json", "c2.json"],
+     "492534683aa89c0c2f3ae5f958ee38a631d6720f33eb0e57623c02c40afc91a6"),
+    ("comb.json", ["combine", "c1.json", "c2.json", "--m3", "3", "--n3", "1",
+                   "--json", "comb.json"],
+     "bf462a310f736a4d15dcfbf6b17d123213ccc84789619416b7cb22d4327ac372"),
+    ("lifted.json", ["lift", "comb.json", "--mode", "matrix-optimal",
+                     "--json", "lifted.json"],
+     "3456af4024f7be71ca8a15d8762fe7e83345c6bf83cb55d029c6f387c32af932"),
+    ("stair.json", ["construct", "--request", "request.json", "--json", "stair.json"],
+     "307cddef9437f75672fd4edb91758f28958ca15fafa6aa1bb4a1946c86b8cad2"),
+]
+
+
+def test_readme_pipeline_certificate_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "request.json", {
+        "construction": "staircase", "field": {"p": 2, "s": 1}, "chain": [2, 6],
+        "diagram": "[4,4,6,6]", "delta": 3, "r": 0, "w": 2, "seed": 0,
+    })
+    for name, argv, sha in README_PIPELINE:
+        assert main(argv) == 0, name
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name

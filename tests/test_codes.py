@@ -120,6 +120,34 @@ def test_sampled_min_rank_upper_bounds_true_min():
     assert sampled_min_rank(code, 500, seed=3) >= true_min
 
 
+def _gabidulin_over(p, s):
+    """[3 x 3, 2]-Gabidulin expansion over GF(p^s): dimension 6, distance 2."""
+    from fdrm.codes import code_from_generator
+
+    t = build_tower(p, s, (3,))
+    return code_from_generator(t, moore_matrix(t, t.betas[:3], 2), 2)
+
+
+# One-sample probes for seeds 0..11, recorded before the generic sampler
+# moved to flat rows: the same seed must keep drawing the same codeword.
+SAMPLED_GENERIC = {
+    (3, 1): [3, 2, 3, 2, 2, 3, 2, 3, 3, 3, 2, 2],
+    (2, 2): [3, 2, 3, 3, 3, 3, 2, 3, 3, 3, 3, 3],
+}
+
+
+@pytest.mark.parametrize("p, s", sorted(SAMPLED_GENERIC), ids=["gf3", "gf4"])
+def test_sampled_min_rank_generic_field(p, s):
+    code = _gabidulin_over(p, s)
+    assert (code.field.p, code.field.degree) == (p, s)  # not the packed GF(2) kernel
+    true_min = min_rank_distance(code)
+    probes = [sampled_min_rank(code, 1, seed=seed) for seed in range(12)]
+    assert probes == SAMPLED_GENERIC[(p, s)]
+    assert min(probes) >= true_min
+    assert sampled_min_rank(code, 200, seed=7) == sampled_min_rank(code, 200, seed=7)
+    assert sampled_min_rank(code, 200, seed=7) >= true_min
+
+
 def test_sampled_min_rank_needs_a_sample():
     _, _, code = gabidulin_code(3, 2)
     for samples in (0, -1):
@@ -331,3 +359,9 @@ def test_generic_path_handles_q3():
     assert code.dimension == 2
     assert min_rank_distance(code) == 2
     assert mrd_check(t, G, 2)
+
+
+def test_sampled_min_rank_zero_dimension_rejected():
+    code = make_code(F2, full_diagram(2, 2), [])
+    with pytest.raises(CodeError):
+        sampled_min_rank(code, 10)  # no nonzero codeword to draw

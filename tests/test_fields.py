@@ -17,7 +17,6 @@ from fdrm.fields import (
     build_tower,
     gf,
     smallest_primitive_modulus,
-    tower_from_serial,
 )
 
 
@@ -375,8 +374,6 @@ def test_tower_serialization_roundtrip():
         "chain": [5, 15],
         "modulus": list(t.field.modulus),
     }
-    t2 = tower_from_serial(d)
-    assert t2.betas == t.betas
 
 
 def test_subfield_map_power_basis():
@@ -423,14 +420,3 @@ def test_base_embed_is_field_embedding():
             assert t.base_embed(F4.mul(a, b)) == t.field.mul(
                 t.base_embed(a), t.base_embed(b)
             )
-
-
-def test_functional_wrappers():
-    from fdrm.fields import frobenius, independent_over_subfield, pi_expand, psi
-
-    t = build_tower(2, 1, (2,))
-    w = t.field.alpha
-    assert frobenius(t, w, 1) == t.frobenius(w, 1)
-    assert psi(t, (w,)) == t.psi((w,))
-    assert pi_expand(t, w) == t.pi_expand(w)
-    assert independent_over_subfield(t, t.betas, 0)

@@ -149,18 +149,3 @@ def test_matrix_vecmul():
     t = build_tower(2, 1, (3,))
     G = MatrixF.from_rows(t.field, [[1, 0, 3], [0, 1, 5]])
     assert G.vecmul((1, 1)) == (1, 1, t.field.add(3, 5))
-
-
-def test_matrix_serialization_roundtrip():
-    from fdrm.linalg import matrix_from_serial, serialize_matrix
-
-    rng = random.Random(2)
-    M = random_matrix(F2, 2, 3, rng)
-    data = serialize_matrix(M)
-    assert all(isinstance(r, str) for r in data)  # digit strings per row
-    assert matrix_from_serial(F2, data).rows == M.rows
-    F8 = gf(2, 3)
-    M = random_matrix(F8, 2, 2, rng)
-    data = serialize_matrix(M)
-    assert isinstance(data[0][0], list)  # coefficient vectors
-    assert matrix_from_serial(F8, data).rows == M.rows
