@@ -4,7 +4,8 @@ Exit codes form a contract scripts can branch on:
 
 * 0: constructed and every in-budget verification passed;
 * 1: verification failed (a support or distance check found a codeword
-  the claim does not allow);
+  the claim does not allow), or a construction's own check of its output
+  failed;
 * 2: unparseable or malformed input (diagram, field, request, certificate);
 * 3: the construction's stated preconditions reject the input;
 * 4: constructed, but distance verification exceeded the codeword budget
@@ -26,8 +27,6 @@ from .codes import (
     certificate,
     certify,
     code_from_certificate,
-    distance_at_least,
-    verify_support,
 )
 from .constructions import (
     ConstructionError,
@@ -46,6 +45,7 @@ from .fields import FieldError, build_tower, factor_prime_power
 from .ferrers import DiagramError, FerrersDiagram, singleton_bound
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNVERIFIED = 4
@@ -126,15 +126,9 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _certify_and_emit(code, field_serial, budget, path, extra=None) -> int:
-    try:
-        code, status = certify(code, budget)
-    except CodeError as e:
-        raise _Exit(1, f"verification failed: {e}")
-    cert = certificate(code, field_serial=field_serial)
-    if extra:
-        cert.update(extra)
-    _write_json(cert, path)
+def _certify_and_emit(code, field_serial, budget, path) -> int:
+    code, status = certify(code, budget)
+    _write_json(certificate(code, field_serial=field_serial), path)
     print(f"{code.describe()}: {status}", file=sys.stderr)
     return EXIT_OK if status == "verified" else EXIT_UNVERIFIED
 
@@ -212,25 +206,17 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code = _rebuild(args.cert)
-    if not verify_support(code):
-        raise _Exit(1, "support check failed: nonzero entry outside the diagram")
-    try:
-        ok = distance_at_least(code, code.claimed_delta, args.budget)
-    except BudgetExceeded as e:
-        print(f"{code.describe()}: unverified-at-scale ({e})", file=sys.stderr)
+    code, status = certify(_rebuild(args.cert), args.budget)
+    if status != "verified":
+        print(f"{code.describe()}: {status}", file=sys.stderr)
         return EXIT_UNVERIFIED
-    if not ok:
-        raise _Exit(1, f"distance check failed below {code.claimed_delta}")
     bound, _ = singleton_bound(code.diagram, code.claimed_delta)
     print(
         f"{code.describe()}: verified (bound {bound}, dimension {code.dimension})",
         file=sys.stderr,
     )
     if args.json:
-        from dataclasses import replace
-
-        _write_json(certificate(replace(code, verified=True)), args.json)
+        _write_json(certificate(code), args.json)
     return EXIT_OK
 
 
@@ -330,6 +316,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"fdrm: {e}", file=sys.stderr)
         return EXIT_UNVERIFIED
+    except CodeError as e:  # a failed verification or construction self-check
+        print(f"fdrm: check failed: {e}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -156,10 +156,10 @@ def _min_rank(
     M_lambda invertible), and every nonzero codeword is a multiple of exactly
     one member of the cosets b_j + span(blocks after j).  Walking those
     cosets ranks (p^{eK} - 1)/(p^e - 1) codewords instead of p^{eK} - 1.
-    `line` > 1 is sound only for an F_{q^line}-linear code laid out as
-    `code_from_generator` does; the default covers every code, since each
-    basis matrix spans an F_q-line.  The budget counts the claim's q^k'
-    codewords, not the representatives.
+    `line` > 1 is sound only for an F_{q^line}-linear code whose basis
+    lists `FieldTower.expand` blocks of generator rows; the default covers
+    every code, since each basis matrix spans an F_q-line.  The budget
+    counts the claim's q^k' codewords, not the representatives.
     """
     kp = code.dimension
     if kp < 1:
@@ -296,33 +296,26 @@ def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str
     return replace(code, verified=True), "verified"
 
 
-def code_from_generator(
-    tower: FieldTower,
-    G: MatrixF,
-    delta: int,
-    provenance: dict | None = None,
-) -> FdrmCode:
+def code_from_generator(tower: FieldTower, G: MatrixF, delta: int) -> FdrmCode:
     """Full-diagram code {psi(u G)} over F_q from a k x n generator over the top field."""
     m = tower.top_degree
-    n = G.ncols
-    basis = []
-    for i in range(G.nrows):
-        row = G.row(i)
-        for t in range(m):
-            scaled = tuple(tower.field.mul(tower.beta(t + 1), e) for e in row)
-            basis.append(MatrixF.from_rows(tower.base, tower.psi(scaled)))
+    basis = tuple(
+        MatrixF.from_rows(tower.base, rows)
+        for g in G.rows
+        for rows in tower.expand(g, m)
+    )
     return FdrmCode(
         field=tower.base,
-        diagram=full_diagram(m, n),
-        basis=tuple(basis),
+        diagram=full_diagram(m, G.ncols),
+        basis=basis,
         claimed_delta=delta,
-        provenance=provenance or {"construction": "generator-expansion"},
+        provenance={"construction": "generator-expansion"},
     )
 
 
 def mrd_check(
     tower: FieldTower,
-    G,
+    G: MatrixF,
     delta: int,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
@@ -331,19 +324,18 @@ def mrd_check(
     Checks the dimension against max(m,n)(min(m,n)-delta+1) and then the
     exhaustive minimum rank.  Assumes the standing m >= n orientation.
     """
-    matrix = getattr(G, "matrix", G)
     m = tower.top_degree
-    n = matrix.ncols
+    n = G.ncols
     if m < n:
         raise CodeError(f"m = {m} < n = {n}: transpose the problem first")
     if not 1 <= delta <= n:
         raise CodeError(f"delta {delta} out of range")
     expected = max(m, n) * (min(m, n) - delta + 1)
-    total = tower.base.order ** (m * matrix.nrows)
+    total = tower.base.order ** (m * G.nrows)
     if total > budget:
         raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
     try:
-        code = code_from_generator(tower, matrix, delta)
+        code = code_from_generator(tower, G, delta)
     except CodeError:
         return False  # dependent rows cannot reach the MRD dimension
     if code.dimension != expected:
@@ -353,7 +345,7 @@ def mrd_check(
 
 def restrict_subcode(
     tower: FieldTower,
-    G,
+    G: MatrixF,
     profile: RestrictionProfile,
     delta: int | None = None,
     provenance: dict | None = None,
@@ -363,16 +355,15 @@ def restrict_subcode(
     Message u_i ranges over the span of the first lambda_i betas; the
     resulting code has dimension sum(lambda_i) on the diagram
     [lambda_0, ..., lambda_{k-1}, m, ..., m] and inherits the parent's
-    minimum distance.
+    minimum distance, n - k + 1 unless `delta` says otherwise.
     """
-    matrix = getattr(G, "matrix", G)
-    k, n = matrix.shape
+    k, n = G.shape
     m = tower.top_degree
     if profile.k != k:
         raise CodeError(f"profile length {profile.k} != generator rows {k}")
     for i in range(k):
         for j in range(k):
-            if matrix.entry(i, j) != (1 if i == j else 0):
+            if G.entry(i, j) != (1 if i == j else 0):
                 raise CodeError("generator is not systematic (I_k | A)")
     lam = profile.lambdas
     if lam and lam[-1] > m:
@@ -382,22 +373,16 @@ def restrict_subcode(
             "lambda_0 = 0 would empty the first diagram column; "
             "drop the coordinate instead"
         )
-    if delta is None:
-        gen_delta = getattr(G, "delta", None)
-        delta = gen_delta if gen_delta is not None else n - k + 1
-    gammas = tuple(lam) + (m,) * (n - k)
-    diagram = FerrersDiagram(gammas)
-    basis = []
-    for i in range(k):
-        row = matrix.row(i)
-        for t in range(lam[i]):
-            scaled = tuple(tower.field.mul(tower.beta(t + 1), e) for e in row)
-            basis.append(MatrixF.from_rows(tower.base, tower.psi(scaled)))
+    basis = tuple(
+        MatrixF.from_rows(tower.base, rows)
+        for g, count in zip(G.rows, lam)
+        for rows in tower.expand(g, count)
+    )
     return FdrmCode(
         field=tower.base,
-        diagram=diagram,
-        basis=tuple(basis),
-        claimed_delta=delta,
+        diagram=FerrersDiagram(tuple(lam) + (m,) * (n - k)),
+        basis=basis,
+        claimed_delta=n - k + 1 if delta is None else delta,
         provenance=provenance
         or {"construction": "restrict-subcode", "profile": list(lam)},
     )

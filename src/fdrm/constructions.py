@@ -514,7 +514,7 @@ def construct_prescribed_column(
         tower, a, delta, n, search_budget=search_budget, seed=seed, budget=budget
     )
     sub = restrict_subcode(
-        tower, gen, RestrictionProfile(gam[:k]), delta=delta, provenance=prov
+        tower, gen.matrix, RestrictionProfile(gam[:k]), delta=delta, provenance=prov
     )
     vls = column_valid_lengths(sub)
     if any(vl > g for vl, g in zip(vls, gam)):
@@ -525,19 +525,6 @@ def construct_prescribed_column(
 
 
 # -- staircase-extended restricted Gabidulin construction --
-
-
-def _first_independent_extension(tower: FieldTower, core) -> int:
-    """Smallest field element extending `core` to an independent family."""
-    f = tower.field
-    fp = gf(f.p, 1)
-    ech = [list(f.coeffs(c)) for c in core]
-    if len(eliminate(ech, fp)) != len(ech):
-        raise ConstructionError("core points are dependent")
-    for cand in range(1, f.order):
-        if len(eliminate(ech + [list(f.coeffs(cand))], fp)) == len(ech) + 1:
-            return cand
-    raise ConstructionError("no independent extension point exists")
 
 
 def _column_level(tower: FieldTower, j: int) -> int:
@@ -597,7 +584,12 @@ def build_extended_generator(
         c = prev[0]
         factor = f.div(tower.frobenius(c, 1), c)  # c^{q-1}
         core = [f.sub(tower.frobenius(x, 1), f.mul(factor, x)) for x in prev[1:]]
-        ext = _first_independent_extension(tower, core)
+        ext = next(
+            (x for x in range(1, f.order) if tower.independent_over_level(core + [x], 0)),
+            None,
+        )
+        if ext is None:
+            raise ConstructionError("no point extends the core independently over F_q")
         pts = core + [ext]
         _, S = systematic_form(moore_matrix(tower, pts, kappa - nu))
         for i in range(kappa - nu):
@@ -638,33 +630,6 @@ def build_extended_generator(
     return replace(gen, verified=all_verified)
 
 
-def _staircase_codeword(
-    tower: FieldTower,
-    G: MatrixF,
-    diagram: FerrersDiagram,
-    r: int,
-    u: tuple[int, ...],
-) -> MatrixF:
-    """Assemble one codeword of the staircase construction, column-wise."""
-    m, n = diagram.m, diagram.n
-    t_l = tower.top_degree
-    e = G.vecmul(u)
-    top = tower.psi(e)
-    ucoords = [tower.beta_coords(ui) for ui in u]
-    cols = []
-    for j in range(n):
-        col = [top[i][j] for i in range(t_l)]
-        if j >= n - r:
-            h = j - (n - r)
-            for idx in range(h, -1, -1):
-                col.extend(ucoords[idx][: diagram.gammas[idx]])
-        col.extend([0] * (m - len(col)))
-        cols.append(col)
-    return MatrixF.from_rows(
-        tower.base, [[cols[j][i] for j in range(n)] for i in range(m)]
-    )
-
-
 def construct_staircase(
     tower: FieldTower,
     diagram: FerrersDiagram,
@@ -677,7 +642,10 @@ def construct_staircase(
 
     Codewords stack the coordinate matrix of u G over shifted truncated
     message columns over a zero block; messages are confined to beta spans
-    of sizes gamma_0, ..., gamma_{k-1}.
+    of sizes gamma_0, ..., gamma_{k-1}.  The basis codeword for
+    u = beta_{t+1} e_i is psi(beta_{t+1} g_i) with one 1 below it in each
+    staircase column n-r+h, h >= i, at row t_l + gamma_{i+1} + ... +
+    gamma_h + t.
     """
     gam = diagram.gammas
     n, m = diagram.n, diagram.m
@@ -735,12 +703,12 @@ def construct_staircase(
         raise CodeError("staircase generator row count mismatch")
 
     basis = []
-    for i in range(k):
-        for t in range(gam[i]):
-            u = tuple(
-                tower.beta(t + 1) if idx == i else 0 for idx in range(k)
-            )
-            basis.append(_staircase_codeword(tower, gen.matrix, diagram, r, u))
+    for i, g in enumerate(gen.matrix.rows):
+        for t, top in enumerate(tower.expand(g, gam[i])):
+            rows = [list(row) for row in top] + [[0] * n for _ in range(m - t_l)]
+            for h in range(i, r):
+                rows[t_l + sum(gam[i + 1 : h + 1]) + t][n - r + h] = 1
+            basis.append(MatrixF.from_rows(tower.base, rows))
     prov = {
         "construction": "staircase",
         "diagram": diagram.text(),
@@ -828,18 +796,47 @@ def combine_codes(
     )
 
 
-def _lift_params(code: FdrmCode, m: int | None) -> tuple[int, GF, SubfieldMap]:
-    degree = code.field.degree
+def _lift(code: FdrmCode, m: int | None, matrix: bool) -> FdrmCode:
+    """Shared body of `lift_vector` and `lift_matrix`.
+
+    Each entry e becomes an m x width block over the degree-(N/m) subfield:
+    the multiplication-by-e matrix in the basis (1, alpha, ..., alpha^{m-1})
+    when `matrix` (width m), else its column 0, the coordinates of e itself
+    because the basis starts with 1 (width 1).  Basis matrix b contributes
+    the lifts of alpha^t b for t < m.
+    """
+    field = code.field
+    degree = field.degree
     m = degree if m is None else m
     if m < 1 or degree % m:
         raise ConstructionError(f"lift degree {m} does not divide {degree}")
-    sub = gf(code.field.p, degree // m)
-    smap = SubfieldMap(
-        code.field,
-        degree // m,
-        tuple(code.field.alpha_pow(i) for i in range(m)),
+    if m == 1:
+        return code
+    smap = SubfieldMap(field, degree // m, tuple(field.alpha_pow(i) for i in range(m)))
+    width = m if matrix else 1
+    mm, n = code.ambient
+    basis = []
+    for theta in smap.basis:
+        for b in code.basis:
+            rows = [[0] * (width * n) for _ in range(m * mm)]
+            for i, brow in enumerate(b.rows):
+                for j, e in enumerate(brow):
+                    if e:
+                        x = field.mul(theta, e)
+                        for v, a in enumerate(smap.basis[:width]):
+                            for u, c in enumerate(smap.coords(field.mul(x, a))):
+                                rows[i * m + u][j * width + v] = c
+            basis.append(MatrixF.from_rows(smap.sub, rows))
+    return FdrmCode(
+        field=smap.sub,
+        diagram=FerrersDiagram(
+            tuple(m * g for g in code.diagram.gammas for _ in range(width))
+        ),
+        basis=tuple(basis),
+        claimed_delta=width * code.claimed_delta,
+        provenance={"construction": "lift_matrix" if matrix else "lift_vector", "m": m,
+                    "inner": code.provenance.get("construction")},
     )
-    return m, sub, smap
 
 
 def lift_vector(code: FdrmCode, m: int | None = None) -> FdrmCode:
@@ -848,32 +845,7 @@ def lift_vector(code: FdrmCode, m: int | None = None) -> FdrmCode:
     An [F, k, delta] code over the degree-m extension becomes an
     [mF, mk, delta] code over the subfield, with mF = [m*gamma_j]_j.
     """
-    m, sub, smap = _lift_params(code, m)
-    if m == 1:
-        return code
-    diagram = FerrersDiagram(tuple(m * g for g in code.diagram.gammas))
-    mm, n = code.ambient
-    basis = []
-    for t in range(m):
-        theta = code.field.alpha_pow(t)
-        for b in code.basis:
-            rows = [[0] * n for _ in range(m * mm)]
-            for i in range(mm):
-                for j in range(n):
-                    e = b.entry(i, j)
-                    if e:
-                        coords = smap.coords(code.field.mul(theta, e) if t else e)
-                        for u in range(m):
-                            rows[i * m + u][j] = coords[u]
-            basis.append(MatrixF.from_rows(sub, rows))
-    return FdrmCode(
-        field=sub,
-        diagram=diagram,
-        basis=tuple(basis),
-        claimed_delta=code.claimed_delta,
-        provenance={"construction": "lift_vector", "m": m,
-                    "inner": code.provenance.get("construction")},
-    )
+    return _lift(code, m, matrix=False)
 
 
 def lift_matrix(code: FdrmCode, m: int | None = None) -> FdrmCode:
@@ -884,35 +856,7 @@ def lift_matrix(code: FdrmCode, m: int | None = None) -> FdrmCode:
     height m*gamma_j m times.  Ranks multiply by at least m because an
     invertible minor maps to an invertible block minor.
     """
-    m, sub, smap = _lift_params(code, m)
-    if m == 1:
-        return code
-    diagram = FerrersDiagram(
-        tuple(m * g for g in code.diagram.gammas for _ in range(m))
-    )
-    mm, n = code.ambient
-    basis = []
-    for t in range(m):
-        theta = code.field.alpha_pow(t)
-        for b in code.basis:
-            rows = [[0] * (m * n) for _ in range(m * mm)]
-            for i in range(mm):
-                for j in range(n):
-                    e = b.entry(i, j)
-                    if e:
-                        blk = smap.mult_matrix(code.field.mul(theta, e) if t else e)
-                        for u in range(m):
-                            for v in range(m):
-                                rows[i * m + u][j * m + v] = blk[u][v]
-            basis.append(MatrixF.from_rows(sub, rows))
-    return FdrmCode(
-        field=sub,
-        diagram=diagram,
-        basis=tuple(basis),
-        claimed_delta=m * code.claimed_delta,
-        provenance={"construction": "lift_matrix", "m": m,
-                    "inner": code.provenance.get("construction")},
-    )
+    return _lift(code, m, matrix=True)
 
 
 def lift_matrix_optimal(

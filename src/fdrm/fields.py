@@ -57,7 +57,13 @@ def prime_factors(n: int) -> list[int]:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p**s with p prime, or raise FieldError."""
+    """Write q = p**s with p prime, or raise FieldError.
+
+    Sizes above 2^DEFAULT_MAX_DEGREE are refused before trial division,
+    whose cost grows with the square root of q.
+    """
+    if q > 1 << DEFAULT_MAX_DEGREE:
+        raise FieldError(f"{q} exceeds the field order cap 2^{DEFAULT_MAX_DEGREE}")
     fs = prime_factors(q)
     if len(fs) != 1:
         raise FieldError(f"{q} is not a prime power")
@@ -533,6 +539,17 @@ class FieldTower:
         t = self.top_degree
         return tuple(tuple(col[i] for col in cols) for i in range(t))
 
+    def expand(self, vec, count: int) -> list[tuple[tuple[int, ...], ...]]:
+        """Coordinate matrices psi(beta_t * vec) for t = 1, ..., count, in order.
+
+        Every construction turns a generator row into F_q-basis matrices
+        here.  count = t_l spans the row's whole F_{q^{t_l}}-line, the block
+        that `_min_rank(..., line=t_l)` walks as one; a smaller count
+        confines the row's message coordinate to span(beta_1, ..., beta_count).
+        """
+        mul = self.field.mul
+        return [self.psi([mul(b, v) for v in vec]) for b in self.betas[:count]]
+
     def psi_inv(self, rows) -> tuple[int, ...]:
         rows = [tuple(r) for r in rows]
         if len(rows) != self.top_degree:
@@ -630,10 +647,9 @@ def build_tower(
 
     `chain` is (t_1, ..., t_l); t_0 = 1 is implied.  Each t_{x-1} must
     divide t_x.  Deterministic for fixed inputs: canonical modulus, greedy
-    canonical level bases.
+    canonical level bases.  The top field's degree and order are checked
+    against `max_degree` before p is tested for primality.
     """
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
     if s < 1:
         raise FieldError("base exponent s must be >= 1")
     chain = tuple(int(t) for t in chain)
@@ -653,6 +669,10 @@ def build_tower(
         raise FieldError(
             f"top field degree {n} exceeds enumeration budget {max_degree}"
         )
+    if p**n > 1 << max_degree:
+        raise FieldError(f"top field GF({p}^{n}) exceeds order 2^{max_degree}")
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
 
     field = gf(p, n)
     base = gf(p, s)

@@ -109,20 +109,6 @@ class MatrixF:
             out.append(tuple(row))
         return MatrixF(f, tuple(out))
 
-    def vecmul(self, vec) -> tuple[int, ...]:
-        """Row vector times this matrix."""
-        if len(vec) != self.nrows:
-            raise LinalgError("vecmul mismatch")
-        f = self.field
-        out = []
-        for j in range(self.ncols):
-            acc = 0
-            for a, r in zip(vec, self.rows):
-                if a and r[j]:
-                    acc = f.add(acc, f.mul(a, r[j]))
-            out.append(acc)
-        return tuple(out)
-
 
 def rank(M: MatrixF) -> int:
     """Rank by Gaussian elimination over the entry field."""

@@ -251,7 +251,9 @@ def test_verify_rejects_oversized_entry_field_quickly(tmp_path, capsys):
 
 
 # SHA-256 of each README pipeline certificate, as pinned by the benchmark
-# (perfbench/workloads.py, cli_ops): certificates must stay byte-identical.
+# (perfbench/workloads.py, cli_ops), then of both lifts of c1 and of two
+# staircases with r > 0 (criterion 4, and the q=3 code the benchmark
+# re-verifies): certificates must stay byte-identical.
 README_PIPELINE = [
     ("c1.json", ["construct", "--construction", "shortened", "-F", "[2,3,3]",
                  "-d", "3", "-q", "4", "--json", "c1.json"],
@@ -267,6 +269,17 @@ README_PIPELINE = [
      "3456af4024f7be71ca8a15d8762fe7e83345c6bf83cb55d029c6f387c32af932"),
     ("stair.json", ["construct", "--request", "request.json", "--json", "stair.json"],
      "307cddef9437f75672fd4edb91758f28958ca15fafa6aa1bb4a1946c86b8cad2"),
+    ("c1v.json", ["lift", "c1.json", "--mode", "vector", "--json", "c1v.json"],
+     "6c4ca0ef72a1233feee79830d4c3805f36f32c92354a5f272c0aeb0b6781fbcf"),
+    ("c1m.json", ["lift", "c1.json", "--mode", "matrix", "--json", "c1m.json"],
+     "27db63ce25fec840f5d9964eb9f7faae1c048e8c347d08b0f4adda817c89545f"),
+    ("crit4.json", ["construct", "--construction", "staircase", "-q", "2", "--chain", "4,8",
+                    "-F", "[1,2,4,4,8,8,8,8,9,11]", "-d", "8", "-r", "2", "-w", "1",
+                    "--json", "crit4.json"],
+     "3e5833e7e688e0f3c7a27c95932595ceeffcc6bdf1ba05cb90760e75222ead82"),
+    ("q3.json", ["construct", "--construction", "staircase", "-q", "3", "--chain", "3",
+                 "-F", "[1,3,3,4]", "-d", "3", "-r", "1", "-w", "1", "--json", "q3.json"],
+     "ed9c3c38a2670af22ec95c074597e1f7fc933f1341277f4feae259a11c74999d"),
 ]
 
 
@@ -279,3 +292,52 @@ def test_readme_pipeline_certificate_bytes(tmp_path, capsys, monkeypatch):
     for name, argv, sha in README_PIPELINE:
         assert main(argv) == 0, name
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("construct_shortened", ["construct", "--construction", "shortened",
+                                 "-F", "[2,3,3]", "-d", "3", "-q", "4"]),
+        ("lift_vector", ["lift", "c1.json", "--mode", "vector"]),
+        ("combine_codes", ["combine", "c1.json", "c1.json", "--m3", "3", "--n3", "3"]),
+    ],
+)
+def test_construction_check_failure_exits_1_with_one_line(
+    tmp_path, capsys, monkeypatch, target, argv
+):
+    import fdrm.cli as cli
+
+    def fail(*args, **kwargs):
+        raise cli.CodeError("internal check failed")
+
+    monkeypatch.chdir(tmp_path)
+    assert main(README_PIPELINE[0][1]) == 0  # c1.json
+    monkeypatch.setattr(cli, target, fail)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "fdrm: check failed: internal check failed\n"
+
+
+BIG_PRIME = "2305843009213693951"  # 2^61 - 1: trial division takes minutes
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (lambda tmp: ["construct", "--construction", "shortened", "-F", "[2,3,3]",
+                      "-d", "2", "-q", BIG_PRIME], 2),
+        (lambda tmp: _request(tmp, {"construction": "shortened", "diagram": "[2,3,3]",
+                                    "delta": 2, "field": {"q": int(BIG_PRIME)}}), 2),
+        (lambda tmp: ["construct", "--construction", "shortened", "-F", "[2,3,3]",
+                      "-d", "2", "--p", BIG_PRIME], 3),
+    ],
+    ids=["flag-q", "request-q", "flag-p"],
+)
+def test_huge_field_size_is_refused_quickly(tmp_path, capsys, argv, want):
+    argv = argv(tmp_path)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == want and err.startswith("fdrm: ") and err.count("\n") == 1

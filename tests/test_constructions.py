@@ -12,6 +12,7 @@ import pytest
 from fdrm.codes import (
     CodeError,
     RestrictionProfile,
+    certify,
     column_valid_lengths,
     distance_at_least,
     is_optimal,
@@ -366,6 +367,22 @@ def test_staircase_at_q3_with_extension():
     assert code.dimension == 4
     assert verify_support(code)
     assert min_rank_distance(code) >= 3  # 80 nonzero codewords over GF(3)
+    assert is_optimal(code, 3)
+
+
+@pytest.mark.parametrize(
+    "p,s,gammas,r,dimension",
+    [(3, 2, (1, 3, 3, 4), 1, 4), (2, 2, (1, 1, 1, 4, 5), 2, 3)],
+    ids=["q9-r1", "q4-r2"],
+)
+def test_staircase_over_composite_base_field(p, s, gammas, r, dimension):
+    # Each extension point must be independent over F_q = GF(p^s), not
+    # merely over GF(p), or a removal sub-contract loses its MRD distance.
+    t = build_tower(p, s, (3,))
+    code = construct_staircase(t, FerrersDiagram(gammas), delta=3, r=r, w=1)
+    assert code.dimension == dimension
+    assert singleton_bound(code.diagram, 3)[0] == dimension
+    assert certify(code)[1] == "verified"
     assert is_optimal(code, 3)
 
 

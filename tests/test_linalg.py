@@ -143,9 +143,3 @@ def test_rref_is_canonical():
         R2, p2 = rref(T.mul(M))
         assert p1 == p2
         assert R1.rows == R2.rows
-
-
-def test_matrix_vecmul():
-    t = build_tower(2, 1, (3,))
-    G = MatrixF.from_rows(t.field, [[1, 0, 3], [0, 1, 5]])
-    assert G.vecmul((1, 1)) == (1, 1, t.field.add(3, 5))
