@@ -20,6 +20,7 @@ betas.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 
@@ -126,15 +127,7 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _x_has_order(mod: list[int], p: int, group_order: int, factors: list[int]) -> bool:
     """True iff the class of x modulo `mod` has multiplicative order group_order."""
     n = len(mod) - 1
-    if n == 0:
-        return False
-    x = [0] * n
-    if n == 1:
-        x[0] = (-mod[0]) % p
-        if x[0] == 0:
-            return False
-    else:
-        x[1] = 1
+    x = [(-mod[0]) % p] if n == 1 else [0, 1] + [0] * (n - 2)
     one = [1] + [0] * (n - 1)
     if _poly_powmod(x, group_order, mod, p) != one:
         return False
@@ -149,19 +142,28 @@ def smallest_primitive_modulus(p: int, n: int) -> tuple[int, ...]:
 
     Returned as coefficients (c_0, ..., c_{n-1}, 1), low degree first.
     Candidates are compared on (c_0, ..., c_{n-1}).
+
+    Only constant terms that pass the norm test are visited.  If f is
+    primitive with root a, then c_0 = (-1)^n * a * a^p * ... * a^(p^(n-1)),
+    and that product, the norm a^((p^n - 1)/(p - 1)), has order p - 1: it
+    generates GF(p)^*.  A c_0 for which (-1)^n c_0 is not a generator
+    (c_0 = 0 among them) therefore rules out every polynomial in its block,
+    so skipping the block, in the same order, returns the same modulus as
+    testing every candidate.  For p = 2 this leaves c_0 = 1; for GF(3^12) it
+    skips the 3^11 candidates with c_0 = 1.
     """
     group_order = p**n - 1
     factors = prime_factors(group_order)
-    for code in range(p**n):
-        coeffs = []
-        v = code
-        for i in range(n):
-            coeffs.append(v // p ** (n - 1 - i) % p)
-        if coeffs[0] == 0:  # x would divide f; x could not be a unit
+    sign = -1 if n % 2 else 1
+    norm_factors = prime_factors(p - 1)
+    for c0 in range(1, p):
+        g = sign * c0 % p
+        if any(pow(g, (p - 1) // r, p) == 1 for r in norm_factors):
             continue
-        mod = coeffs + [1]
-        if _x_has_order(mod, p, group_order, factors):
-            return tuple(mod)
+        for rest in itertools.product(range(p), repeat=n - 1):
+            mod = [c0, *rest, 1]
+            if _x_has_order(mod, p, group_order, factors):
+                return tuple(mod)
     raise FieldError(f"no primitive polynomial of degree {n} over GF({p})")
 
 
@@ -201,17 +203,47 @@ class GF:
         return (gf, (self.p, self.degree))
 
     def _build_tables(self) -> None:
+        """Fill exp[i] = alpha^i and its inverse log by stepping alpha^i * x.
+
+        alpha is the class of x, so each step multiplies by x: shift the
+        coefficients up one degree and, if a degree-n term `lead` appears,
+        subtract lead times the modulus.  For p = 2 the int is the
+        coefficient bit vector, so a step is a shift and at most one xor with
+        the modulus.  For odd p the int's base-p digits are the coefficients:
+        a step splits off the top digit, multiplies the rest by p, and
+        rewrites digit j to (digit - lead * c_j) mod p for each nonzero c_j
+        of the modulus (digit by digit, as a plain int sum would carry).
+        Either way a step costs O(n), where a general product costs O(n^2).
+        As the modulus is primitive the walk returns to 1 after exactly
+        order - 1 steps, which is checked.
+        """
         p, n, order = self.p, self.degree, self.order
         exp = [0] * (order - 1)
         log = [0] * order
-        cur = [1] + [0] * (n - 1)
-        alpha = _digits(self.alpha, p, n)
-        for i in range(order - 1):
-            v = _undigits(cur, p)
-            exp[i] = v
-            log[v] = i
-            cur = _poly_mulmod(cur, alpha, self._mod_list, p)
-        if _undigits(cur, p) != 1:
+        if p == 2:
+            top = 1 << n
+            mod = _undigits(self._mod_list, 2)
+            cur = 1
+            for i in range(order - 1):
+                exp[i] = cur
+                log[cur] = i
+                cur <<= 1
+                if cur & top:
+                    cur ^= mod
+        else:
+            top = p ** (n - 1)
+            terms = [(p**j, c) for j, c in enumerate(self._mod_list[:n]) if c]
+            cur = 1
+            for i in range(order - 1):
+                exp[i] = cur
+                log[cur] = i
+                lead, cur = divmod(cur, top)
+                cur *= p
+                if lead:
+                    for w, c in terms:
+                        d = cur // w % p
+                        cur += ((d - lead * c) % p - d) * w
+        if cur != 1:
             raise FieldError("internal: modulus is not primitive")
         self._exp = exp
         self._log = log

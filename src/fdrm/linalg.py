@@ -36,14 +36,6 @@ class MatrixF:
     def from_rows(cls, field: GF, rows) -> "MatrixF":
         return cls(field, tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def identity(cls, field: GF, k: int) -> "MatrixF":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-
-    @classmethod
-    def zeros(cls, field: GF, nrows: int, ncols: int) -> "MatrixF":
-        return cls(field, tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -70,23 +62,6 @@ class MatrixF:
 
     def submatrix(self, row_slice: slice, col_slice: slice) -> "MatrixF":
         return MatrixF(self.field, tuple(r[col_slice] for r in self.rows[row_slice]))
-
-    def hstack(self, other: "MatrixF") -> "MatrixF":
-        if other.field is not self.field or other.nrows != self.nrows:
-            raise LinalgError("hstack mismatch")
-        return MatrixF(self.field, tuple(a + b for a, b in zip(self.rows, other.rows)))
-
-    def add(self, other: "MatrixF") -> "MatrixF":
-        if other.field is not self.field or other.shape != self.shape:
-            raise LinalgError("add mismatch")
-        f = self.field
-        return MatrixF(
-            f,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
 
     def scale(self, c: int) -> "MatrixF":
         f = self.field

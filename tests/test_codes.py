@@ -100,17 +100,20 @@ def test_fast_path_matches_generic_path():
         expanded = codes_mod._prime_basis(code)
         best = m + n
         msg = [0] * len(expanded)
-        cur = MatrixF.zeros(F2, m, n)
+        cur = [[0] * n for _ in range(m)]
         for _ in range(2 ** len(expanded) - 1):
             i = 0
             while True:
                 msg[i] += 1
-                cur = cur.add(expanded[i])
+                cur = [
+                    [a ^ b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(cur, expanded[i].rows)
+                ]
                 if msg[i] < 2:
                     break
                 msg[i] = 0
                 i += 1
-            best = min(best, rank(cur))
+            best = min(best, rank(MatrixF.from_rows(F2, cur)))
         assert fast == best
 
 

@@ -107,7 +107,9 @@ def test_witness_check_agrees_with_enumeration():
             t.field,
             [[rng.randrange(16) for _ in range(n - k)] for _ in range(k)],
         )
-        G = MatrixF.identity(t.field, k).hstack(A)
+        G = MatrixF.from_rows(
+            t.field, [[int(i == j) for j in range(k)] + list(r) for i, r in enumerate(A.rows)]
+        )
         assert mrd_witness_check(t, G, n - k + 1) == mrd_check(t, G, n - k + 1)
 
 

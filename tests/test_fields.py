@@ -6,6 +6,7 @@ with a plain textbook elimination written here, not the library's cached
 inverse.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -59,6 +60,124 @@ def test_canonical_moduli():
     assert smallest_primitive_modulus(2, 3) == (1, 0, 1, 1)
     assert smallest_primitive_modulus(3, 2) == (2, 1, 1)
     assert smallest_primitive_modulus(2, 1) == (1, 1)
+
+
+# Recorded from the unfiltered search that tried every candidate in order
+# (minutes for the odd-p fields), as exponent -> coefficient.
+PINNED_MODULI = {
+    (2, 16): {0: 1, 11: 1, 13: 1, 14: 1, 16: 1},
+    (2, 20): {0: 1, 17: 1, 20: 1},
+    (2, 24): {0: 1, 20: 1, 21: 1, 23: 1, 24: 1},
+    (3, 12): {0: 2, 8: 1, 9: 1, 10: 1, 11: 2, 12: 1},
+    (5, 8): {0: 2, 6: 2, 7: 1, 8: 1},
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(PINNED_MODULI))
+def test_large_canonical_moduli_pinned(p, n):
+    want = [0] * (n + 1)
+    for e, c in PINNED_MODULI[(p, n)].items():
+        want[e] = c
+    assert smallest_primitive_modulus(p, n) == tuple(want)
+
+
+# SHA-256 of ",".join(str(alpha^i) for i in 0..order-2), recorded from tables
+# built by one general polynomial product per element: a faster build must
+# not change which int denotes which element.
+PINNED_EXP_TABLES = {
+    (2, 16): "f45493c36149d3416a0835a1f527777b811d48723cd1ab69e5463d8f326f1bc2",
+    (2, 18): "8f4bda0c44d4a019ab632d3347b693b4058d5a6d23407c11502e380a1dbce9c2",
+    (3, 6): "b8682bc3393d07b29bd47bf4b973274bb56d9fe0606f5e1b0cb3b6a277b956b8",
+    (5, 3): "eb03311b8c7ae464e0e4b2a4877bc89be4cc386490bd7d83118527b0d8ba8266",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(PINNED_EXP_TABLES))
+def test_exp_tables_pinned(p, n):
+    F = gf(p, n)
+    text = ",".join(str(F.alpha_pow(i)) for i in range(F.order - 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXP_TABLES[(p, n)]
+
+
+# -- plain references for the search and the tables, on every small field --
+
+
+def _mulmod(a, b, mod, p):
+    """Schoolbook product of coefficient lists (low first) modulo monic `mod`."""
+    n = len(mod) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for d in range(2 * n - 2, n - 1, -1):
+        c = prod[d] % p
+        if c:
+            for i in range(n + 1):
+                prod[d - n + i] -= c * mod[i]
+    return [c % p for c in prod[:n]]
+
+
+def _x_class(mod, p):
+    n = len(mod) - 1
+    return [(-mod[0]) % p] if n == 1 else [0, 1] + [0] * (n - 2)
+
+
+def _reference_modulus(p, n):
+    """Try every monic degree-n candidate in lexicographic order."""
+    order = p**n - 1
+    primes = [r for r in range(2, order + 1) if order % r == 0
+              and all(r % d for d in range(2, r))]
+    one = [1] + [0] * (n - 1)
+
+    def power(a, e, mod):
+        out = one
+        for bit in bin(e)[2:]:
+            out = _mulmod(out, out, mod, p)
+            if bit == "1":
+                out = _mulmod(out, a, mod, p)
+        return out
+
+    for coeffs in itertools.product(range(p), repeat=n):
+        mod = list(coeffs) + [1]
+        x = _x_class(mod, p)
+        if power(x, order, mod) == one and all(
+            power(x, order // r, mod) != one for r in primes
+        ):
+            return tuple(mod)
+    raise AssertionError(f"no primitive polynomial of degree {n} over GF({p})")
+
+
+SMALL_FIELDS = [
+    (p, n)
+    for p in range(2, 3001)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 12)
+    if p**n <= 3000
+]
+
+
+def test_filtered_search_matches_every_candidate_search():
+    for p, n in SMALL_FIELDS:
+        assert smallest_primitive_modulus(p, n) == _reference_modulus(p, n), (p, n)
+
+
+def test_stepped_tables_match_repeated_multiplication():
+    for p, n in SMALL_FIELDS:
+        F = gf(p, n)
+        mod = list(F.modulus)
+        x = _x_class(mod, p)
+        cur = [1] + [0] * (n - 1)
+        exp = []
+        for _ in range(F.order - 1):
+            v = 0
+            for c in reversed(cur):
+                v = v * p + c
+            exp.append(v)
+            cur = _mulmod(cur, x, mod, p)
+        assert cur == [1] + [0] * (n - 1), (p, n)
+        assert F._exp == exp, (p, n)
+        assert [F._log[v] for v in exp] == list(range(F.order - 1)), (p, n)
 
 
 def test_f4_arithmetic_table():
