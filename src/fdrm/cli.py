@@ -27,6 +27,7 @@ from .codes import (
     certificate,
     certify,
     code_from_certificate,
+    json_value,
 )
 from .constructions import (
     ConstructionError,
@@ -102,7 +103,7 @@ def _load_cert(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, RecursionError, ValueError) as e:  # ValueError: bad JSON, huge ints
         raise _Exit(EXIT_PARSE, f"certificate {path}: {e}")
 
 
@@ -143,25 +144,21 @@ def _apply_request(args) -> None:
     if not isinstance(req, dict):
         raise _Exit(EXIT_PARSE, f"request {args.request}: not a JSON object")
     try:
-        for key in ("construction", "diagram"):
+        for key, kind in (("construction", str), ("diagram", str), ("delta", int),
+                          ("r", int), ("w", int), ("seed", int), ("budget", int)):
             if key in req:
-                if not isinstance(req[key], str):
-                    raise TypeError(f"{key} must be a string")
-                setattr(args, key, req[key])
-        for key in ("delta", "r", "w", "seed", "budget"):
-            if key in req:
-                setattr(args, key, int(req[key]))
-        fld = req.get("field", {})
+                setattr(args, key, json_value(req, key, kind))
+        fld = json_value(req, "field", dict, {})
         if "q" in fld:
-            args.q = int(fld["q"])
+            args.q = json_value(fld, "q", int)
         if "p" in fld:
-            args.p, args.q = int(fld["p"]), None
+            args.p, args.q = json_value(fld, "p", int), None
         if "s" in fld:
-            args.s = int(fld["s"])
-        chain = req.get("chain", fld.get("chain"))
-        if chain is not None:
-            args.chain = ",".join(str(t) for t in chain)
-    except (AttributeError, TypeError, ValueError) as e:
+            args.s = json_value(fld, "s", int)
+        chain = req if "chain" in req else fld
+        if "chain" in chain:
+            args.chain = ",".join(str(t) for t in json_value(chain, "chain", list))
+    except CodeError as e:
         raise _Exit(EXIT_PARSE, f"request {args.request}: {e}")
 
 

@@ -8,6 +8,10 @@ per F_{q^m}-line for the generator expansions `mrd_check` verifies.  A
 budget (default 2^24) counts the claim's q^k' codewords, not the
 representatives, and turns oversized requests into a distinct, recoverable
 signal rather than a silent skip.
+
+Every generator-derived code is built once, on its final diagram, by
+`generator_subcode`; `json_value` reads untrusted certificate fields at
+their exact JSON type.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 from . import _gf2
 from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
 from .ferrers import FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF, rank, rref, valid_length
+from .linalg import MatrixF, rank, rref
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -296,20 +300,40 @@ def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str
     return replace(code, verified=True), "verified"
 
 
+def generator_subcode(
+    tower: FieldTower, G: MatrixF, diagram: FerrersDiagram, delta: int,
+    provenance: dict, r: int = 0,
+) -> FdrmCode:
+    """The F_q-code of generator G with message coordinate i confined to
+    span(beta_1, ..., beta_{gamma_i}), laid out on `diagram`.
+
+    The one builder behind every generator-derived code: full expansions,
+    restricted subcodes, shortened, thm23 and staircase codes.  The basis
+    matrix for u = beta_{t+1} e_i is psi(beta_{t+1} g_i), a t_l-row block
+    over diagram.m - t_l zero rows; for r > 0 it also carries a 1 in each
+    staircase column n-r+h, h >= i, at row t_l + gamma_{i+1} + ... +
+    gamma_h + t.
+    """
+    m, n = diagram.m, diagram.n
+    t_l = tower.top_degree
+    gam = diagram.gammas
+    if G.nrows > n:
+        raise CodeError(f"{G.nrows} generator rows exceed {n} diagram columns")
+    basis = []
+    for i, g in enumerate(G.rows):
+        for t, top in enumerate(tower.expand(g, gam[i])):
+            rows = [list(row) for row in top] + [[0] * n for _ in range(m - t_l)]
+            for h in range(i, r):
+                rows[t_l + sum(gam[i + 1 : h + 1]) + t][n - r + h] = 1
+            basis.append(MatrixF.from_rows(tower.base, rows))
+    return FdrmCode(tower.base, diagram, tuple(basis), delta, provenance)
+
+
 def code_from_generator(tower: FieldTower, G: MatrixF, delta: int) -> FdrmCode:
     """Full-diagram code {psi(u G)} over F_q from a k x n generator over the top field."""
-    m = tower.top_degree
-    basis = tuple(
-        MatrixF.from_rows(tower.base, rows)
-        for g in G.rows
-        for rows in tower.expand(g, m)
-    )
-    return FdrmCode(
-        field=tower.base,
-        diagram=full_diagram(m, G.ncols),
-        basis=basis,
-        claimed_delta=delta,
-        provenance={"construction": "generator-expansion"},
+    diagram = full_diagram(tower.top_degree, G.ncols)
+    return generator_subcode(
+        tower, G, diagram, delta, {"construction": "generator-expansion"}
     )
 
 
@@ -355,16 +379,16 @@ def restrict_subcode(
     Message u_i ranges over the span of the first lambda_i betas; the
     resulting code has dimension sum(lambda_i) on the diagram
     [lambda_0, ..., lambda_{k-1}, m, ..., m] and inherits the parent's
-    minimum distance, n - k + 1 unless `delta` says otherwise.
+    minimum distance, n - k + 1 unless `delta` says otherwise.  The
+    constructions build on their own taller diagrams through
+    `generator_subcode` directly.
     """
     k, n = G.shape
     m = tower.top_degree
     if profile.k != k:
         raise CodeError(f"profile length {profile.k} != generator rows {k}")
-    for i in range(k):
-        for j in range(k):
-            if G.entry(i, j) != (1 if i == j else 0):
-                raise CodeError("generator is not systematic (I_k | A)")
+    if any(G.entry(i, j) != (i == j) for i in range(k) for j in range(k)):
+        raise CodeError("generator is not systematic (I_k | A)")
     lam = profile.lambdas
     if lam and lam[-1] > m:
         raise CodeError(f"profile exceeds m = {m}")
@@ -373,18 +397,10 @@ def restrict_subcode(
             "lambda_0 = 0 would empty the first diagram column; "
             "drop the coordinate instead"
         )
-    basis = tuple(
-        MatrixF.from_rows(tower.base, rows)
-        for g, count in zip(G.rows, lam)
-        for rows in tower.expand(g, count)
-    )
-    return FdrmCode(
-        field=tower.base,
-        diagram=FerrersDiagram(tuple(lam) + (m,) * (n - k)),
-        basis=basis,
-        claimed_delta=n - k + 1 if delta is None else delta,
-        provenance=provenance
-        or {"construction": "restrict-subcode", "profile": list(lam)},
+    diagram = FerrersDiagram(tuple(lam) + (m,) * (n - k))
+    provenance = provenance or {"construction": "restrict-subcode", "profile": list(lam)}
+    return generator_subcode(
+        tower, G, diagram, n - k + 1 if delta is None else delta, provenance
     )
 
 
@@ -402,18 +418,6 @@ def canonical_basis(code: FdrmCode) -> FdrmCode:
         for r in rows
     )
     return replace(code, basis=basis)
-
-
-def column_valid_lengths(code: FdrmCode) -> list[int]:
-    """Per-column maximum valid length over the basis matrices."""
-    m, n = code.ambient
-    out = []
-    for j in range(n):
-        vl = 0
-        for b in code.basis:
-            vl = max(vl, valid_length(b.col(j)))
-        out.append(vl)
-    return out
 
 
 # -- certificate serialization --
@@ -457,6 +461,25 @@ def certificate(code: FdrmCode, field_serial: dict | None = None) -> dict:
     }
 
 
+def json_value(obj: dict, key: str, kind: type, default=None):
+    """obj[key] (or `default` when absent) if it has the JSON type `kind`.
+
+    Certificates and requests are untrusted, so nothing is coerced: int
+    means a JSON integer, never a bool, float or string, and list means a
+    list of JSON integers.  Anything else raises CodeError.
+    """
+    if key not in obj and default is not None:
+        return default
+    value = obj[key]
+    ok = type(value) is kind
+    if ok and kind is list:
+        ok = all(type(x) is int for x in value)
+    if not ok:
+        want = "list of int" if kind is list else kind.__name__
+        raise CodeError(f"{key} must be JSON {want}, not {type(value).__name__}")
+    return value
+
+
 def code_from_certificate(data: dict) -> FdrmCode:
     """Rebuild a code from its certificate.
 
@@ -466,20 +489,18 @@ def code_from_certificate(data: dict) -> FdrmCode:
     2^DEFAULT_MAX_DEGREE before it is built, since building a field costs
     time that grows with its order.
     """
-    ef = data["entry_field"]
-    p, degree = int(ef["p"]), int(ef["degree"])
+    ef = json_value(data, "entry_field", dict)
+    p, degree = json_value(ef, "p", int), json_value(ef, "degree", int)
     if not 1 <= degree <= DEFAULT_MAX_DEGREE or abs(p) ** degree > 1 << DEFAULT_MAX_DEGREE:
         raise CodeError(
             f"entry field GF({p}^{degree}) is outside degree 1..{DEFAULT_MAX_DEGREE}"
             f" and order 2^{DEFAULT_MAX_DEGREE}"
         )
     field = gf(p, degree)
-    if "modulus" in ef and tuple(ef["modulus"]) != field.modulus:
+    if "modulus" in ef and tuple(json_value(ef, "modulus", list)) != field.modulus:
         raise CodeError("certificate modulus does not match canonical modulus")
-    diagram = FerrersDiagram.parse(data["diagram"])
-    provenance = data.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise CodeError("certificate provenance must be an object")
+    diagram = FerrersDiagram.parse(json_value(data, "diagram", str))
+    provenance = json_value(data, "provenance", dict, {})
     if not data["basis"]:
         raise CodeError("certificate has an empty basis")
     basis = tuple(
@@ -492,10 +513,10 @@ def code_from_certificate(data: dict) -> FdrmCode:
         field=field,
         diagram=diagram,
         basis=basis,
-        claimed_delta=int(data["delta"]),
+        claimed_delta=json_value(data, "delta", int),
         provenance=dict(provenance),
-        verified=bool(data.get("verified", False)),
+        verified=json_value(data, "verified", bool, False),
     )
-    if code.dimension != int(data["dimension"]):
+    if code.dimension != json_value(data, "dimension", int):
         raise CodeError("certificate dimension mismatch")
     return code

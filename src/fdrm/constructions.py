@@ -1,7 +1,9 @@
 """Construction families for optimal Ferrers diagram rank-metric codes.
 
 Four routes to a code, all emitting an explicit basis for uniform
-verification:
+verification.  Apart from the trivial delta = 1 codes, the first three
+hand a generator and the target diagram to `codes.generator_subcode`,
+which builds the one code each returns:
 
 * shortening a Gabidulin code onto a diagram whose rightmost columns are
   tall enough ("shortened");
@@ -34,17 +36,19 @@ from .codes import (
     BudgetExceeded,
     CodeError,
     FdrmCode,
-    RestrictionProfile,
     canonical_basis,
-    code_from_generator,
-    column_valid_lengths,
+    generator_subcode,
     is_optimal,
     mrd_check,
-    restrict_subcode,
+    verify_support,
 )
 from .fields import GF, FieldTower, SubfieldMap, build_tower, eliminate, gf
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
 from .linalg import MatrixF, block_compose, rank, systematic_form
+
+
+# Column samples the prescribed-column search may draw before it gives up.
+SEARCH_BUDGET = 100_000
 
 
 class ConstructionError(ValueError):
@@ -294,7 +298,6 @@ def systematic_mrd_with_first_column(
     a,
     delta: int,
     n: int,
-    search_budget: int = 200_000,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> SystematicGenerator:
@@ -347,10 +350,10 @@ def systematic_mrd_with_first_column(
             placed = False
             for _ in range(per_column):
                 attempts += 1
-                if attempts > search_budget:
+                if attempts > SEARCH_BUDGET:
                     raise ConstructionError(
-                        f"no verified candidate within search budget {search_budget}; "
-                        "existence is guaranteed, so enlarge the budget"
+                        f"no verified candidate within {SEARCH_BUDGET} sampled "
+                        "columns, although one exists: the search gave up"
                     )
                 cols[c] = tuple(rng.randrange(tower.field.order) for _ in range(k))
                 if all(_gw_invertible(tower, cols, w) for w in groups[c]):
@@ -398,42 +401,24 @@ def full_support_code(base: GF, diagram: FerrersDiagram, provenance=None) -> Fdr
     )
 
 
-def embed_code(code: FdrmCode, diagram: FerrersDiagram, provenance=None) -> FdrmCode:
-    """Zero-pad a code's matrices downward into a taller containing diagram."""
-    vls = column_valid_lengths(code)
-    if code.diagram.n != diagram.n:
-        raise CodeError("embedding needs equal column counts")
-    if any(vl > g for vl, g in zip(vls, diagram.gammas)):
-        raise CodeError("code support does not fit the target diagram")
-    pad = diagram.m - code.diagram.m
-    if pad < 0:
-        raise CodeError("target diagram is shorter than the code's ambient")
-    zero = (0,) * diagram.n
-    basis = tuple(
-        MatrixF.from_rows(code.field, b.rows + (zero,) * pad) for b in code.basis
-    )
-    return FdrmCode(
-        field=code.field,
-        diagram=diagram,
-        basis=basis,
-        claimed_delta=code.claimed_delta,
-        provenance=provenance or code.provenance,
-    )
-
-
 def construct_shortened(
     tower: FieldTower, diagram: FerrersDiagram, delta: int
 ) -> FdrmCode:
     """Optimal code on a diagram whose rightmost delta-1 columns have >= n dots.
 
     Shortens a Gabidulin [t_l x n, delta] code by confining the systematic
-    message coordinates to beta spans of sizes gamma_0, ..., gamma_{k-1},
-    then zero-pads rows up to m.
+    message coordinates to beta spans of sizes gamma_0, ..., gamma_{k-1};
+    the t_l-row codewords sit over zero rows up to m.
     """
+    prov = {"construction": "shortened", "diagram": diagram.text(), "delta": delta}
+    return _shortened(tower, diagram, delta, prov)
+
+
+def _shortened(tower: FieldTower, diagram: FerrersDiagram, delta: int, prov: dict) -> FdrmCode:
+    """`construct_shortened` under the caller's provenance."""
     n = diagram.n
     if not 1 <= delta <= n:
         raise ConstructionError(f"delta {delta} out of range 1..{n}")
-    prov = {"construction": "shortened", "diagram": diagram.text(), "delta": delta}
     if delta == 1:
         return full_support_code(tower.base, diagram, provenance=prov)
     k = n - delta + 1
@@ -449,21 +434,13 @@ def construct_shortened(
         raise ConstructionError(
             f"gamma_{k-1} = {diagram.gammas[k-1]} exceeds tower top degree {t_l}"
         )
-    if k < n and diagram.gammas[k] < t_l:
+    if diagram.gammas[k] < t_l:
         raise ConstructionError(
             f"gamma_{k} = {diagram.gammas[k]} below tower top degree {t_l}: "
             "use a tighter tower"
         )
-    G = gabidulin_generator(tower, tower.betas[:n], delta)
-    _, S = systematic_form(G)
-    sub = restrict_subcode(
-        tower,
-        S,
-        RestrictionProfile(diagram.gammas[:k]),
-        delta=delta,
-        provenance=prov,
-    )
-    return embed_code(sub, diagram, provenance=prov)
+    _, S = systematic_form(gabidulin_generator(tower, tower.betas[:n], delta))
+    return generator_subcode(tower, S, diagram, delta, prov)
 
 
 def construct_prescribed_column(
@@ -471,7 +448,6 @@ def construct_prescribed_column(
     diagram: FerrersDiagram,
     delta: int,
     seed: int = 0,
-    search_budget: int = 100_000,
     budget: int = DEFAULT_BUDGET,
 ) -> FdrmCode:
     """Optimal code relaxing the dot requirement on the (delta-1)-th column
@@ -480,8 +456,8 @@ def construct_prescribed_column(
     Condition (1): gamma_k >= n, or gamma_k - k >= gamma_i - i for all
     i < k.  Condition (2): gamma_{k+1} >= n.  When gamma_k >= n this is
     plain shortening; otherwise a systematic MRD generator with prescribed
-    first column (beta^k, ..., beta) is restricted and the produced column
-    profile is checked to fit inside the requested diagram.
+    first column (beta^k, ..., beta) is restricted onto the diagram and the
+    code's support is checked to fit inside it.
     """
     gam = diagram.gammas
     n, m = diagram.n, diagram.m
@@ -502,26 +478,18 @@ def construct_prescribed_column(
         "seed": seed,
     }
     if gam[k] >= n:
-        code = construct_shortened(tower, diagram, delta)
-        return replace(code, provenance={**prov, "route": "shortened"})
+        return _shortened(tower, diagram, delta, {**prov, "route": "shortened"})
     if tower.levels != 1 or tower.top_degree != n:
         raise ConstructionError(
             f"prescribed-column route needs the power-basis tower with chain ({n},)"
         )
     beta = tower.beta(2)  # the tower generator; betas are its power basis
     a = tuple(tower.field.pow_(beta, k - i) for i in range(k))
-    gen = systematic_mrd_with_first_column(
-        tower, a, delta, n, search_budget=search_budget, seed=seed, budget=budget
-    )
-    sub = restrict_subcode(
-        tower, gen.matrix, RestrictionProfile(gam[:k]), delta=delta, provenance=prov
-    )
-    vls = column_valid_lengths(sub)
-    if any(vl > g for vl, g in zip(vls, gam)):
-        raise CodeError(
-            f"produced column profile {vls} escapes the diagram {diagram.text()}"
-        )
-    return embed_code(sub, diagram, provenance=prov)
+    gen = systematic_mrd_with_first_column(tower, a, delta, n, seed=seed, budget=budget)
+    code = generator_subcode(tower, gen.matrix, diagram, delta, prov)
+    if not verify_support(code):
+        raise CodeError(f"produced code escapes the diagram {diagram.text()}")
+    return code
 
 
 # -- staircase-extended restricted Gabidulin construction --
@@ -642,13 +610,11 @@ def construct_staircase(
 
     Codewords stack the coordinate matrix of u G over shifted truncated
     message columns over a zero block; messages are confined to beta spans
-    of sizes gamma_0, ..., gamma_{k-1}.  The basis codeword for
-    u = beta_{t+1} e_i is psi(beta_{t+1} g_i) with one 1 below it in each
-    staircase column n-r+h, h >= i, at row t_l + gamma_{i+1} + ... +
-    gamma_h + t.
+    of sizes gamma_0, ..., gamma_{k-1} (`generator_subcode` with r
+    staircase columns).
     """
     gam = diagram.gammas
-    n, m = diagram.n, diagram.m
+    n = diagram.n
     t_1 = tower.level_degree(1)
     t_l = tower.top_degree
     l = tower.levels
@@ -702,13 +668,6 @@ def construct_staircase(
     if gen.k != k:
         raise CodeError("staircase generator row count mismatch")
 
-    basis = []
-    for i, g in enumerate(gen.matrix.rows):
-        for t, top in enumerate(tower.expand(g, gam[i])):
-            rows = [list(row) for row in top] + [[0] * n for _ in range(m - t_l)]
-            for h in range(i, r):
-                rows[t_l + sum(gam[i + 1 : h + 1]) + t][n - r + h] = 1
-            basis.append(MatrixF.from_rows(tower.base, rows))
     prov = {
         "construction": "staircase",
         "diagram": diagram.text(),
@@ -718,13 +677,7 @@ def construct_staircase(
         "chain": list(tower.chain),
         "generator_verified": gen.verified,
     }
-    return FdrmCode(
-        field=tower.base,
-        diagram=diagram,
-        basis=tuple(basis),
-        claimed_delta=delta,
-        provenance=prov,
-    )
+    return generator_subcode(tower, gen.matrix, diagram, delta, prov, r=r)
 
 
 def construct_staircase_l2(

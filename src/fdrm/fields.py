@@ -407,6 +407,26 @@ def eliminate(rows: list[list[int]], field: GF, reduced: bool = False) -> list[i
     return pivots
 
 
+@functools.lru_cache(maxsize=None)
+def _canonical_root(p: int, n: int, e: int) -> int:
+    """Element of GF(p^e) inside GF(p^n) satisfying the canonical GF(p^e) modulus.
+
+    Searched once per (p, n, e): a tower's beta and power-basis maps share it.
+    """
+    field, sub = gf(p, n), gf(p, e)
+    if e == 1:
+        return (-sub.modulus[0]) % p
+    step = (field.order - 1) // (sub.order - 1)
+    for u in range(1, sub.order):
+        cand = field.alpha_pow(step * u)
+        acc = 0
+        for c in reversed(sub.modulus):
+            acc = field.add(field.mul(acc, cand), c % p)
+        if acc == 0:
+            return cand
+    raise FieldError("internal: no root of canonical modulus in subfield")
+
+
 class SubfieldMap:
     """Coordinates of GF(p^N) over canonical GF(p^e) w.r.t. a fixed basis.
 
@@ -428,7 +448,7 @@ class SubfieldMap:
             raise FieldError(f"need {self.dim} basis elements, got {len(basis)}")
         self.basis = tuple(basis)
         p, e = field.p, sub_degree
-        self._root = self._find_canonical_root()
+        self._root = _canonical_root(p, field.degree, e)
         root_pows = [field.pow_(self._root, j) for j in range(e)]
         expanded = []
         for b in basis:
@@ -444,21 +464,6 @@ class SubfieldMap:
             raise FieldError("coordinate basis matrix is singular")
         self._minv = [r[n:] for r in aug]
         self._root_pows = root_pows
-
-    def _find_canonical_root(self) -> int:
-        """Element of the subfield satisfying the canonical GF(p^e) modulus."""
-        field, sub = self.field, self.sub
-        if sub.degree == 1:
-            return (-sub.modulus[0]) % field.p
-        step = (field.order - 1) // (sub.order - 1)
-        for u in range(1, sub.order):
-            cand = field.alpha_pow(step * u)
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = field.add(field.mul(acc, cand), c % field.p)
-            if acc == 0:
-                return cand
-        raise FieldError("internal: no root of canonical modulus in subfield")
 
     def to_subfield(self, a: int) -> int:
         """Embed a canonical GF(p^e) element into `field`."""

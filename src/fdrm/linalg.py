@@ -2,8 +2,8 @@
 
 One generic implementation serves matrices over a base field and over an
 extension field; the field tag on MatrixF decides the arithmetic.  Rank,
-rref and inverses run `fields.eliminate`, the package's one elimination
-routine.
+rref and the systematic form run `fields.eliminate`, the package's one
+elimination routine.
 """
 
 from __future__ import annotations
@@ -97,36 +97,20 @@ def rref(M: MatrixF) -> tuple[MatrixF, list[int]]:
     return MatrixF.from_rows(M.field, rows), pivots
 
 
-def invert(M: MatrixF) -> MatrixF:
-    if M.nrows != M.ncols:
-        raise LinalgError("only square matrices invert")
-    n = M.nrows
-    aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(M.rows)]
-    if eliminate(aug, M.field, reduced=True)[:n] != list(range(n)):
-        raise LinalgError("singular matrix")
-    return MatrixF.from_rows(M.field, [r[n:] for r in aug])
-
-
 def systematic_form(G: MatrixF) -> tuple[MatrixF, MatrixF]:
     """(T, S) with S = T*G of shape (I_k | A); the row space is preserved.
 
-    Raises LinalgError when the leftmost k x k block is singular.
+    One reduced elimination of [G | I_k] leaves [S | T].  Raises
+    LinalgError when the leftmost k x k block is singular.
     """
-    k = G.nrows
-    if G.ncols < k:
+    k, n = G.shape
+    if n < k:
         raise LinalgError("wider-than-tall generator required")
-    left = G.submatrix(slice(0, k), slice(0, k))
-    T = invert(left)
-    return T, T.mul(G)
-
-
-def valid_length(vec) -> int:
-    """1-based index of the rightmost nonzero component; 0 for a zero vector."""
-    vl = 0
-    for i, v in enumerate(vec):
-        if v:
-            vl = i + 1
-    return vl
+    aug = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(G.rows)]
+    if eliminate(aug, G.field, reduced=True) != list(range(k)):
+        raise LinalgError("leftmost k x k block is singular")
+    f = G.field
+    return MatrixF.from_rows(f, [r[n:] for r in aug]), MatrixF.from_rows(f, [r[:n] for r in aug])
 
 
 def block_compose(

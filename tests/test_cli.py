@@ -217,6 +217,28 @@ def _tampered_cert(tmp_path, edit):
     return ["verify", _write(path, cert)]
 
 
+def _raw(tmp_path, command, text):
+    path = tmp_path / "raw.json"
+    path.write_text(text)
+    return [*command, str(path)]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the recursion limit
+HUGE = "1" + "0" * 5000  # an integer literal past the 4300-digit conversion limit
+REQUEST = ["construct", "--request"]
+SHORTENED = {"construction": "shortened", "diagram": "[2,3,4,4]", "delta": 3,
+             "field": {"q": 2}}
+
+
+def _huge_delta_cert(tmp_path):
+    argv = _tampered_cert(tmp_path, lambda c: None)
+    path = tmp_path / "c.json"
+    text = path.read_text()
+    assert '"delta": 2' in text
+    path.write_text(text.replace('"delta": 2', f'"delta": {HUGE}'))
+    return argv
+
+
 def _zero_dimension(cert):
     cert["dimension"], cert["basis"] = 0, []
 
@@ -233,9 +255,25 @@ def _integer_rows(cert):
         lambda tmp: _tampered_cert(tmp, _zero_dimension),
         lambda tmp: _tampered_cert(tmp, _integer_rows),
         lambda tmp: _tampered_cert(tmp, lambda c: c.update(provenance=[1])),
+        lambda tmp: _raw(tmp, REQUEST, DEEP),
+        lambda tmp: _raw(tmp, REQUEST, f'{{"delta": {HUGE}}}'),
+        lambda tmp: _raw(tmp, REQUEST, '{"delta": Infinity}'),
+        lambda tmp: _request(tmp, {**SHORTENED, "delta": 3.9}),
+        lambda tmp: _request(tmp, {**SHORTENED, "delta": "3"}),
+        lambda tmp: _request(tmp, {"construction": "staircase", "diagram": "[4,4,6,6]",
+                                   "delta": 3, "w": 2, "chain": "26"}),
+        lambda tmp: _raw(tmp, ["verify"], DEEP),
+        lambda tmp: _huge_delta_cert(tmp),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.update(delta=float("inf"))),
+        lambda tmp: _tampered_cert(tmp, lambda c: c["entry_field"].update(degree=1.5)),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.update(verified="false")),
     ],
     ids=["request-delta-x", "request-list", "cert-zero-dimension",
-         "cert-integer-rows", "cert-provenance-list"],
+         "cert-integer-rows", "cert-provenance-list", "request-deep",
+         "request-huge-int", "request-infinity", "request-delta-float",
+         "request-delta-string", "request-chain-string", "cert-deep",
+         "cert-huge-int", "cert-infinity", "cert-degree-float",
+         "cert-verified-string"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     argv = argv(tmp_path)
@@ -314,6 +352,32 @@ def test_readme_pipeline_certificate_bytes(tmp_path, capsys, monkeypatch):
     for name, argv, sha in README_PIPELINE:
         assert main(argv) == 0, name
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name
+
+
+# SHA-256 of thm23 certificates: the prescribed-column route over GF(2) at
+# two seeds and over GF(3), and the shortened route it delegates to.
+THM23_PINS = [
+    (["-F", "[2,2,4,5,5]", "-d", "4", "-q", "2", "--seed", "0"],
+     "e1275c22befa22cc744ccbb5ab9a8f414639c2ff77a930d277aa785aba42d82c"),
+    (["-F", "[2,2,4,5,5]", "-d", "4", "-q", "2", "--seed", "1"],
+     "f67e1741bf7b2ca3d08d08416b18e6983a082705d712a913b2f68b7b8b23efaa"),
+    (["-F", "[2,3,4,4]", "-d", "4", "-q", "2"],
+     "5058c2b17ba5e61fb2c23fbcbcf340e05c071e3edbd6204c0b0d4f29e78b6eec"),
+    (["-F", "[2,3,4,4]", "-d", "4", "-q", "3"],
+     "ae011b868689858e7a386a21160a6246f4c1c96eeb9eb971cb861713333caf87"),
+    (["-F", "[2,3,4,4]", "-d", "3", "-q", "2"],
+     "642369aaaad2973d99a8466aa1ae49c164bcb6f59633cce7fe61146262fbf2a2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,sha", THM23_PINS,
+    ids=["22455-seed0", "22455-seed1", "2344-q2", "2344-q3", "2344-shortened"],
+)
+def test_thm23_certificate_bytes(tmp_path, argv, sha):
+    out = tmp_path / "thm23.json"
+    assert main(["construct", "--construction", "thm23", *argv, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 @pytest.mark.parametrize(

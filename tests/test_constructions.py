@@ -9,11 +9,12 @@ import random
 
 import pytest
 
+import fdrm.constructions
 from fdrm.codes import (
     CodeError,
+    FdrmCode,
     RestrictionProfile,
     certify,
-    column_valid_lengths,
     distance_at_least,
     is_optimal,
     min_rank_distance,
@@ -44,7 +45,7 @@ from fdrm.constructions import (
 )
 from fdrm.fields import build_tower, gf
 from fdrm.ferrers import FerrersDiagram, full_diagram, singleton_bound
-from fdrm.linalg import MatrixF, rank, systematic_form, valid_length
+from fdrm.linalg import MatrixF, rank, systematic_form
 
 F2 = gf(2, 1)
 
@@ -207,6 +208,41 @@ def test_prescribed_column_delegates_to_shortening():
     assert is_optimal(code, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_shortened(build_tower(2, 1, (4,)), FerrersDiagram((2, 3, 4, 4)), 3),
+        lambda: construct_prescribed_column(
+            build_tower(2, 1, (4,)), FerrersDiagram((2, 3, 4, 4)), 3),
+        lambda: construct_prescribed_column(
+            build_tower(2, 1, (5,)), FerrersDiagram((2, 2, 4, 5, 5)), 4),
+        lambda: construct_staircase(
+            build_tower(2, 1, (3,)), FerrersDiagram((1, 3, 3, 4)), 3, r=1, w=1),
+    ],
+    ids=["shortened", "thm23-shortened", "thm23", "staircase-r1"],
+)
+def test_construction_builds_one_code(monkeypatch, build):
+    # Codes built inside mrd_check are the parent checks, not the output.
+    built, inside = [], [0]
+    post, check = FdrmCode.__post_init__, fdrm.constructions.mrd_check
+
+    def counting_post(self):
+        built.append(inside[0])
+        post(self)
+
+    def counting_check(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(FdrmCode, "__post_init__", counting_post)
+    monkeypatch.setattr(fdrm.constructions, "mrd_check", counting_check)
+    build()
+    assert built.count(0) == 1
+
+
 def test_prescribed_column_condition_errors():
     t = build_tower(2, 1, (5,))
     with pytest.raises(ConstructionError):
@@ -323,6 +359,15 @@ def test_staircase_delta1_trivial():
     code = construct_staircase(t, F, delta=1, r=0, w=1)
     assert code.dimension == F.dots
     assert min_rank_distance(code) == 1
+
+
+def column_valid_lengths(code):
+    """Per column, the 1-based index of the lowest nonzero row over the basis."""
+    m, n = code.ambient
+    return [
+        max((i + 1 for b in code.basis for i in range(m) if b.rows[i][j]), default=0)
+        for j in range(n)
+    ]
 
 
 def test_staircase_valid_length_claims():

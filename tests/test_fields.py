@@ -15,6 +15,7 @@ import pytest
 from fdrm.fields import (
     FieldError,
     SubfieldMap,
+    _canonical_root,
     build_tower,
     gf,
     smallest_primitive_modulus,
@@ -501,6 +502,14 @@ def test_subfield_map_power_basis():
     for a in F16.elements():
         coords = smap.coords(a)
         assert smap.lift(coords) == a
+
+
+def test_fresh_tower_searches_its_canonical_root_once():
+    # The beta map and the power-basis map sit over the same GF(p^s) and
+    # share one root search.
+    _canonical_root.cache_clear()
+    build_tower.__wrapped__(2, 2, (3,))  # bypass the tower cache: a fresh s = 2 tower
+    assert _canonical_root.cache_info().misses == 1
 
 
 def test_degree_budget():
