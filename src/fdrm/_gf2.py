@@ -62,6 +62,38 @@ def _gray_flip_indices(start: int, stop: int) -> np.ndarray:
     return np.log2(lows.astype(np.float64)).astype(np.int64)
 
 
+def _coset_ranks(basis_rows, ncols: int, offset):
+    """Rank arrays of the coset `offset` + GF(2)-span(`basis_rows`).
+
+    All 2^K members are ranked, the zero message included, in blocks of up
+    to 2^18 (a low-digit Gray-code table XORed with one high-digit base).
+    """
+    K = len(basis_rows)
+    m = len(offset)
+    dtype = _dtype_for(ncols)
+    basis = np.array(basis_rows, dtype=dtype).reshape(K, m)
+
+    low_bits = min(K, _CHUNK_BITS)
+    n_low = 1 << low_bits
+    flips = _gray_flip_indices(1, n_low)
+    steps = basis[flips]
+    low_table = np.zeros((n_low, m), dtype=dtype)
+    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+    low_table[1:] = steps
+
+    high = K - low_bits
+    for outer in range(1 << high):
+        base = np.array(offset, dtype=dtype)
+        o = outer
+        j = 0
+        while o:
+            if o & 1:
+                base ^= basis[low_bits + j]
+            o >>= 1
+            j += 1
+        yield rank_batch(low_table ^ base[None, :])
+
+
 def min_rank_exhaustive(
     basis_rows,
     ncols: int,
@@ -79,37 +111,21 @@ def min_rank_exhaustive(
     value is still a true rank of some coset member, just not necessarily
     the minimum).
     """
-    K = len(basis_rows)
-    m = len(offset)
-    dtype = _dtype_for(ncols)
-    basis = np.array(basis_rows, dtype=dtype).reshape(K, m)
-
-    low_bits = min(K, _CHUNK_BITS)
-    n_low = 1 << low_bits
-    flips = _gray_flip_indices(1, n_low)
-    steps = basis[flips]
-    low_table = np.zeros((n_low, m), dtype=dtype)
-    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
-    low_table[1:] = steps
-
-    best = m + 1
-    high = K - low_bits
-    for outer in range(1 << high):
-        base = np.array(offset, dtype=dtype)
-        o = outer
-        j = 0
-        while o:
-            if o & 1:
-                base ^= basis[low_bits + j]
-            o >>= 1
-            j += 1
-        block = low_table ^ base[None, :]
-        blockmin = int(rank_batch(block).min())
-        if blockmin < best:
-            best = blockmin
+    best = len(offset) + 1
+    for ranks in _coset_ranks(basis_rows, ncols, offset):
+        best = min(best, int(ranks.min()))
         if floor is not None and best < floor:
-            return best
+            break
     return best
+
+
+def rank_histogram(basis_rows, ncols: int, *, offset) -> list[int]:
+    """Count of the coset members of each rank 0..m, over all 2^K messages."""
+    m = len(offset)
+    hist = np.zeros(m + 1, dtype=np.int64)
+    for ranks in _coset_ranks(basis_rows, ncols, offset):
+        hist += np.bincount(ranks, minlength=m + 1)
+    return hist.tolist()
 
 
 def min_rank_sampled(

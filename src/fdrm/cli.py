@@ -99,16 +99,18 @@ def _write_json(obj: dict, path: str | None) -> None:
             fh.write(blob)
 
 
-def _load_cert(path: str) -> dict:
+def _load_cert(path: str, kind: str) -> dict:
+    """Parse the JSON file at `path`; `kind` ("certificate" or "request")
+    names it in the one-line error."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, RecursionError, ValueError) as e:  # ValueError: bad JSON, huge ints
-        raise _Exit(EXIT_PARSE, f"certificate {path}: {e}")
+        raise _Exit(EXIT_PARSE, f"{kind} {path}: {e}")
 
 
 def _rebuild(path: str):
-    data = _load_cert(path)
+    data = _load_cert(path, "certificate")
     try:
         return code_from_certificate(data)
     except (
@@ -140,7 +142,7 @@ def _apply_request(args) -> None:
     Request keys: construction, diagram, delta, r, w, seed, budget, and
     field (either {"p","s","chain",...} or {"q",...}).
     """
-    req = _load_cert(args.request)
+    req = _load_cert(args.request, "request")
     if not isinstance(req, dict):
         raise _Exit(EXIT_PARSE, f"request {args.request}: not a JSON object")
     try:

@@ -4,10 +4,13 @@ A code is stored by an explicit basis of codeword matrices over its entry
 field, so one enumeration engine verifies every construction.  Every
 nonzero multiple of a codeword has its rank, so the engine ranks one
 representative per line of nonzero codewords: per F_q-line for any code,
-per F_{q^m}-line for the generator expansions `mrd_check` verifies.  A
-budget (default 2^24) counts the claim's q^k' codewords, not the
-representatives, and turns oversized requests into a distinct, recoverable
-signal rather than a silent skip.
+per F_{q^m}-line for the generator expansions `mrd_check` verifies.  When
+the Delsarte dual has fewer F_q-lines than the code has representatives,
+the engine walks the dual in full instead and reads the code's exact rank
+distribution off the MacWilliams identities (Delsarte 1978).  A budget
+(default 2^24) counts the claim's q^k' codewords, whichever side is
+walked, and turns oversized requests into a distinct, recoverable signal
+rather than a silent skip.
 
 Every generator-derived code is built once, on its final diagram, by
 `generator_subcode`; `json_value` reads untrusted certificate fields at
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 from . import _gf2
 from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
 from .ferrers import FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF, rank, rref
+from .linalg import MatrixF, rref
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -84,13 +87,8 @@ class FdrmCode:
                 raise CodeError(
                     f"basis matrix shape {b.shape} != ambient {(m, n)}"
                 )
-        if self.basis:
-            flat = MatrixF.from_rows(
-                self.field,
-                [tuple(e for row in b.rows for e in row) for b in self.basis],
-            )
-            if rank(flat) != len(self.basis):
-                raise CodeError("basis matrices are not linearly independent")
+        if len(eliminate(_flat_basis(self), self.field)) != len(self.basis):
+            raise CodeError("basis matrices are not linearly independent")
 
     @property
     def dimension(self) -> int:
@@ -120,28 +118,35 @@ def verify_support(code: FdrmCode) -> bool:
     return True
 
 
-def _prime_basis(code: FdrmCode) -> list[MatrixF]:
-    """GF(p)-basis of the code: basis matrices scaled by powers of alpha."""
-    f = code.field
-    out = []
-    for b in code.basis:
-        for j in range(f.degree):
-            out.append(b.scale(f.alpha_pow(j)) if j else b)
-    return out
+def _flat_basis(code: FdrmCode) -> list[list[int]]:
+    """The basis as k' rows of m*n entries, each matrix flattened row-major.
 
-
-def _kernel_basis(code: FdrmCode) -> tuple[bool, list]:
-    """The GF(p)-basis of `_prime_basis` laid out for its rank kernel.
-
-    Returns (packed, rows).  GF(2) matrices of at most 64 columns go to the
-    numpy kernels in `_gf2`, one packed int per matrix row; every other
-    code goes to `_flat_rank` as flat row-major entry lists.
+    Under this flattening sum_ij a_ij b_ij is the dot product of rows, so the
+    null space of these rows is the Delsarte dual of the code.
     """
-    field, n = code.field, code.diagram.n
-    expanded = _prime_basis(code)
+    return [[e for row in b.rows for e in row] for b in code.basis]
+
+
+def _kernel_basis(field: GF, n: int, flat: list) -> tuple[bool, list]:
+    """The GF(p)-basis of the span of the flat rows, laid out for its rank kernel.
+
+    Each row r is followed by alpha^j r for j = 1..degree-1, so block i of
+    `degree` rows spans the F_q-line of row i.  Returns (packed, rows):
+    GF(2) matrices of at most 64 columns go to the numpy kernels in `_gf2`,
+    one packed int per matrix row; every other code goes to `_flat_rank`
+    as flat row-major entry lists.
+    """
+    powers = [field.alpha_pow(j) for j in range(1, field.degree)]
+    expanded = []
+    for row in flat:
+        expanded.append(row)
+        expanded.extend([field.mul(a, x) for x in row] for a in powers)
     if field.p == 2 and field.degree == 1 and n <= 64:
-        return True, [_gf2.pack_rows(b.rows, n) for b in expanded]
-    return False, [[x for row in b.rows for x in row] for b in expanded]
+        return True, [
+            _gf2.pack_rows([r[i : i + n] for i in range(0, len(r), n)], n)
+            for r in expanded
+        ]
+    return False, expanded
 
 
 def _flat_rank(field: GF, n: int, flat: list) -> int:
@@ -149,57 +154,8 @@ def _flat_rank(field: GF, n: int, flat: list) -> int:
     return len(eliminate([flat[i : i + n] for i in range(0, len(flat), n)], field))
 
 
-def _min_rank(
-    code: FdrmCode, budget: int, floor: int | None, line: int = 1
-) -> int:
-    """Minimum rank over one representative of every line of nonzero codewords.
-
-    `_prime_basis` lists the GF(p)-basis in blocks of e = degree * `line`
-    matrices, block j spanning the F_{p^e}-line {lambda b_j}.  Every nonzero
-    multiple of a codeword has its rank (psi(lambda c) = M_lambda psi(c) with
-    M_lambda invertible), and every nonzero codeword is a multiple of exactly
-    one member of the cosets b_j + span(blocks after j).  Walking those
-    cosets ranks (p^{eK} - 1)/(p^e - 1) codewords instead of p^{eK} - 1.
-    `line` > 1 is sound only for an F_{q^line}-linear code whose basis
-    lists `FieldTower.expand` blocks of generator rows; the default covers
-    every code, since each basis matrix spans an F_q-line.  The budget
-    counts the claim's q^k' codewords, not the representatives.
-    """
-    kp = code.dimension
-    if kp < 1:
-        raise CodeError("zero-dimensional code has no distance")
-    total = code.field.order**kp
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} codewords exceed budget {budget}"
-        )
-    packed, basis = _kernel_basis(code)
-    e = code.field.degree * line
-    mrows, n = code.ambient
-    field = code.field
-    if packed:
-
-        def coset_min(j):
-            return _gf2.min_rank_exhaustive(
-                basis[j + e :], n, floor=floor, offset=basis[j]
-            )
-    else:
-
-        def coset_min(j):
-            return _odometer_min_rank(field, n, basis[j], basis[j + e :], floor)
-
-    best = min(mrows, n) + 1
-    for j in range(0, len(basis), e):
-        best = min(best, coset_min(j))
-        if floor is not None and best < floor:
-            break
-    return best
-
-
-def _odometer_min_rank(
-    field: GF, n: int, offset: list, span: list, floor: int | None
-) -> int:
-    """Generic kernel: minimum rank over the coset `offset` + GF(p)-span(`span`).
+def _odometer_ranks(field: GF, n: int, offset: list, span: list):
+    """Generic kernel: the rank of every member of `offset` + GF(p)-span(`span`).
 
     Matrices are flat row-major entry lists with n columns; the message
     digits advance as an odometer, so each step adds one basis matrix.
@@ -207,22 +163,172 @@ def _odometer_min_rank(
     add = field.add
     p = field.p
     K = len(span)
-    best = n + 1
     msg = [0] * K
     cur = offset
     for _ in range(p**K):
-        r = _flat_rank(field, n, cur)
-        if r < best:
-            best = r
-            if floor is not None and best < floor:
-                return best
+        yield _flat_rank(field, n, cur)
         for i in range(K):
             cur = [add(a, b) for a, b in zip(cur, span[i])]
             msg[i] += 1
             if msg[i] < p:
                 break
             msg[i] = 0
+
+
+def _min_rank(
+    code: FdrmCode, budget: int, floor: int | None, line: int = 1
+) -> int:
+    """Minimum rank over the nonzero codewords, from the side with less to walk.
+
+    The budget counts the claim's q^k' codewords, whichever side is walked.
+    The projective walk ranks (q^k' - 1)/(q^line - 1) representatives; the
+    Delsarte dual has (q^{mn-k'} - 1)/(q - 1) F_q-lines.  When the dual has
+    fewer, `_dual_distribution` walks it in full and the exact minimum is
+    read off the code's rank distribution.  Otherwise `_projective_min_rank`
+    runs, and with `floor` set it may stop at the first rank below `floor`,
+    which then only means the claim fails.
+    """
+    kp = code.dimension
+    if kp < 1:
+        raise CodeError("zero-dimensional code has no distance")
+    q = code.field.order
+    total = q**kp
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} codewords exceed budget {budget}"
+        )
+    m, n = code.ambient
+    if (q ** (m * n - kp) - 1) // (q - 1) < (total - 1) // (q**line - 1):
+        dist = _dual_distribution(code)
+        return next(i for i in range(1, len(dist)) if dist[i])
+    return _projective_min_rank(code, floor, line)
+
+
+def _projective_min_rank(code: FdrmCode, floor: int | None, line: int = 1) -> int:
+    """Minimum rank over one representative of every line of nonzero codewords.
+
+    `_kernel_basis` lists the GF(p)-basis in blocks of e = degree * `line`
+    matrices, block j spanning the F_{p^e}-line {lambda b_j}.  Every nonzero
+    multiple of a codeword has its rank (psi(lambda c) = M_lambda psi(c) with
+    M_lambda invertible), and every nonzero codeword is a multiple of exactly
+    one member of the cosets b_j + span(blocks after j).  Walking those
+    cosets ranks (p^{eK} - 1)/(p^e - 1) codewords instead of p^{eK} - 1.
+    `line` > 1 is sound only for an F_{q^line}-linear code whose basis
+    lists `FieldTower.expand` blocks of generator rows; the default covers
+    every code, since each basis matrix spans an F_q-line.  With `floor`,
+    the walk stops once it sees a rank below `floor`.
+    """
+    field = code.field
+    mrows, n = code.ambient
+    packed, basis = _kernel_basis(field, n, _flat_basis(code))
+    e = field.degree * line
+    best = min(mrows, n) + 1
+    for j in range(0, len(basis), e):
+        offset, span = basis[j], basis[j + e :]
+        if packed:
+            ranks = [_gf2.min_rank_exhaustive(span, n, floor=floor, offset=offset)]
+        else:
+            ranks = _odometer_ranks(field, n, offset, span)
+        for r in ranks:
+            if r < best:
+                best = r
+                if floor is not None and best < floor:
+                    return best
     return best
+
+
+def _dual_rows(code: FdrmCode) -> list[list[int]]:
+    """Flat rows spanning the Delsarte dual {B : sum_ij a_ij b_ij = 0 for all A}.
+
+    One reduced elimination of `_flat_basis` leaves rows R with pivot
+    columns P; each free column f gives the null vector with 1 at f and
+    -R[i][f] at P[i].  The dual has dimension mn - k'.
+    """
+    field = code.field
+    m, n = code.ambient
+    rows = _flat_basis(code)
+    pivots = eliminate(rows, field, reduced=True)
+    dual = []
+    for f in sorted(set(range(m * n)).difference(pivots)):
+        v = [0] * (m * n)
+        v[f] = 1
+        for r, c in zip(rows, pivots):
+            v[c] = field.neg(r[f])
+        dual.append(v)
+    return dual
+
+
+def _rank_histogram(field: GF, m: int, n: int, flat: list) -> list[int]:
+    """Count of codewords of each rank 0..min(m, n) in the F_q-span of the
+    flat rows, from a full walk over one representative per F_q-line."""
+    reps = [0] * (min(m, n) + 1)
+    packed, basis = _kernel_basis(field, n, flat)
+    e = field.degree
+    for j in range(0, len(basis), e):
+        offset, span = basis[j], basis[j + e :]
+        if packed:
+            reps = [a + b for a, b in zip(reps, _gf2.rank_histogram(span, n, offset=offset))]
+        else:
+            for r in _odometer_ranks(field, n, offset, span):
+                reps[r] += 1
+    hist = [(field.order - 1) * c for c in reps]
+    hist[0] += 1  # the zero codeword
+    return hist
+
+
+def _gaussian_binomial(a: int, b: int, q: int) -> int:
+    """[a, b]_q, the number of b-dimensional subspaces of F_q^a."""
+    if not 0 <= b <= a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _macwilliams(dual: list[int], q: int, kp: int, m: int, n: int) -> list[int]:
+    """Rank distribution A of a k'-dimensional code from its dual's, B.
+
+    With s = min(m, n) and M = max(m, n), for nu = s, ..., 0 (Delsarte 1978,
+    "Bilinear forms over a finite field"; Ravagnani 2016, "Rank-metric codes
+    and their duality theory"):
+        sum_{i <= s-nu} A_i [s-i, nu]_q = q^{k'-M nu} sum_{j <= nu} B_j [s-j, nu-j]_q.
+    The equation for nu holds A_{s-nu} with coefficient 1 and the A_i found
+    before it, so A_0, ..., A_s follow in exact integers.  Raises CodeError
+    unless every A_i is a non-negative integer, A_0 = 1 and sum(A) = q^k'.
+    """
+    s, M = min(m, n), max(m, n)
+    dist = []
+    for nu in range(s, -1, -1):
+        rhs = sum(dual[j] * _gaussian_binomial(s - j, nu - j, q) for j in range(nu + 1))
+        shift = kp - M * nu
+        if shift >= 0:
+            rhs *= q**shift
+        else:
+            rhs, rem = divmod(rhs, q**-shift)
+            if rem:
+                raise CodeError(f"dual rank distribution gives a non-integer A_{s - nu}")
+        a = rhs - sum(
+            x * _gaussian_binomial(s - i, nu, q) for i, x in enumerate(dist)
+        )
+        if a < 0:
+            raise CodeError(f"dual rank distribution gives A_{s - nu} = {a} < 0")
+        dist.append(a)
+    if dist[0] != 1 or sum(dist) != q**kp:
+        raise CodeError(
+            f"dual rank distribution gives A_0 = {dist[0]} and {sum(dist)} "
+            f"codewords, not 1 and {q**kp}"
+        )
+    return dist
+
+
+def _dual_distribution(code: FdrmCode) -> list[int]:
+    """The code's rank distribution A_0..A_s, read off a full walk of its
+    Delsarte dual through the MacWilliams identities."""
+    m, n = code.ambient
+    dual = _rank_histogram(code.field, m, n, _dual_rows(code))
+    return _macwilliams(dual, code.field.order, code.dimension, m, n)
 
 
 def min_rank_distance(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -244,7 +350,7 @@ def sampled_min_rank(
     if code.dimension < 1:
         raise CodeError("zero-dimensional code has no nonzero codeword")
     field, n = code.field, code.diagram.n
-    packed, basis = _kernel_basis(code)
+    packed, basis = _kernel_basis(field, n, _flat_basis(code))
     if packed:
         return _gf2.min_rank_sampled(basis, n, samples, seed)
     p = field.p
@@ -408,14 +514,10 @@ def canonical_basis(code: FdrmCode) -> FdrmCode:
     """Same code with its basis replaced by the reduced echelon form of the
     flattened basis matrix (deterministic representative)."""
     m, n = code.ambient
-    flat = MatrixF.from_rows(
-        code.field, [tuple(e for row in b.rows for e in row) for b in code.basis]
-    )
-    red, pivots = rref(flat)
-    rows = [red.row(i) for i in range(len(pivots))]
+    red, pivots = rref(MatrixF.from_rows(code.field, _flat_basis(code)))
     basis = tuple(
         MatrixF.from_rows(code.field, [r[i * n : (i + 1) * n] for i in range(m)])
-        for r in rows
+        for r in red.rows[: len(pivots)]
     )
     return replace(code, basis=basis)
 
@@ -501,13 +603,22 @@ def code_from_certificate(data: dict) -> FdrmCode:
         raise CodeError("certificate modulus does not match canonical modulus")
     diagram = FerrersDiagram.parse(json_value(data, "diagram", str))
     provenance = json_value(data, "provenance", dict, {})
-    if not data["basis"]:
+    matrices = data["basis"]
+    if type(matrices) is not list or not all(
+        type(rows) is list and len(rows) == diagram.m
+        and all(type(r) is str for r in rows)
+        for rows in matrices
+    ):
+        raise CodeError(
+            f"basis must be a JSON list of matrices, each a list of {diagram.m} row strings"
+        )
+    if not matrices:
         raise CodeError("certificate has an empty basis")
     basis = tuple(
         MatrixF.from_rows(
             field, [_row_parse(field, r, diagram.n) for r in rows]
         )
-        for rows in data["basis"]
+        for rows in matrices
     )
     code = FdrmCode(
         field=field,

@@ -247,6 +247,12 @@ def _integer_rows(cert):
     cert["basis"] = [[int(row) for row in b] for b in cert["basis"]]
 
 
+def _basis_cert(tmp_path, basis, diagram="[1]"):
+    cert = {"entry_field": {"p": 2, "degree": 1}, "diagram": diagram,
+            "dimension": len(basis), "delta": 1, "basis": basis}
+    return ["verify", _write(tmp_path / "basis.json", cert)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -267,13 +273,19 @@ def _integer_rows(cert):
         lambda tmp: _tampered_cert(tmp, lambda c: c.update(delta=float("inf"))),
         lambda tmp: _tampered_cert(tmp, lambda c: c["entry_field"].update(degree=1.5)),
         lambda tmp: _tampered_cert(tmp, lambda c: c.update(verified="false")),
+        lambda tmp: _basis_cert(tmp, ["1"]),
+        lambda tmp: _basis_cert(tmp, {"1": 1}),
+        lambda tmp: _basis_cert(tmp, [[1]]),
+        lambda tmp: _basis_cert(tmp, [["1"], "1"]),
+        lambda tmp: _basis_cert(tmp, [["1", "0"], "01"], diagram="[2]"),
     ],
     ids=["request-delta-x", "request-list", "cert-zero-dimension",
          "cert-integer-rows", "cert-provenance-list", "request-deep",
          "request-huge-int", "request-infinity", "request-delta-float",
          "request-delta-string", "request-chain-string", "cert-deep",
          "cert-huge-int", "cert-infinity", "cert-degree-float",
-         "cert-verified-string"],
+         "cert-verified-string", "cert-basis-strings", "cert-basis-object",
+         "cert-basis-integer-row", "cert-basis-mixed", "cert-basis-string-matrix"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     argv = argv(tmp_path)
@@ -281,6 +293,17 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("fdrm: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [DEEP, f'{{"delta": {HUGE}}}', None],
+                         ids=["deep", "huge-int", "missing"])
+def test_request_load_error_names_the_request(tmp_path, capsys, text):
+    path = tmp_path / "r.json"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run(capsys, "construct", "--request", str(path))
+    assert code == 2
+    assert err.startswith(f"fdrm: request {path}: ") and err.count("\n") == 1
 
 
 def test_verify_rejects_oversized_entry_field_quickly(tmp_path, capsys):

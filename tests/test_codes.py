@@ -78,7 +78,7 @@ def test_min_rank_budget_and_zero_dim():
 
 
 def test_fast_path_matches_generic_path():
-    # dual route: packed Gray enumeration vs odometer with generic ranks
+    # packed Gray enumeration vs a plain walk with generic ranks
     from fdrm import codes as codes_mod
 
     rng = random.Random(41)
@@ -94,9 +94,8 @@ def test_fast_path_matches_generic_path():
                 break
             except CodeError:
                 continue
-        fast = codes_mod._min_rank(code, 1 << 24, None)
-        # force the generic odometer by pretending the field is not plain GF(2)
-        expanded = codes_mod._prime_basis(code)
+        fast = codes_mod._projective_min_rank(code, None)
+        expanded = code.basis  # over GF(2) the basis is its own GF(p)-basis
         best = m + n
         msg = [0] * len(expanded)
         cur = [[0] * n for _ in range(m)]

@@ -1,11 +1,14 @@
-"""Projective enumeration cross-checked against a plain walk.
+"""The verification routes cross-checked against a plain walk.
 
-`codes._min_rank` ranks one representative per line of nonzero codewords
-(an F_{q^m}-line for `mrd_check`, an F_q-line otherwise).  Each test here
-compares it with a reference that ranks every nonzero F_q-combination of
-the basis, in plain message order: the minimum ranks must be equal and a
-`floor` must give the same verdict.  The packed GF(2) kernel's coset
-`offset` is unit-tested at the end.
+`codes._min_rank` reads the minimum rank off the side with less to walk.
+`codes._projective_min_rank` ranks one representative per line of nonzero
+codewords (an F_{q^m}-line for `mrd_check`, an F_q-line otherwise);
+`codes._dual_distribution` walks the Delsarte dual in full and solves the
+MacWilliams identities for the code's rank distribution.  Each test here
+compares them with a reference that ranks every F_q-combination of the
+basis, in plain message order: the minimum ranks and the rank distribution
+must be equal, and a `floor` must give the same verdict.  The packed GF(2)
+kernel's coset `offset` is unit-tested at the end.
 """
 
 import itertools
@@ -16,16 +19,19 @@ import pytest
 
 from fdrm import _gf2
 from fdrm import codes
-from fdrm.codes import CodeError, FdrmCode, code_from_generator, mrd_check
+from fdrm.codes import CodeError, FdrmCode, certify, code_from_generator, mrd_check
 from fdrm.constructions import (
     build_extended_generator,
     construct_prescribed_column,
+    construct_shortened,
     construct_staircase,
+    construct_staircase_l2,
     gabidulin_generator,
     moore_matrix,
     restricted_gabidulin,
     systematic_mrd_with_first_column,
     tower_for_prescribed,
+    tower_for_shortened,
 )
 from fdrm.fields import build_tower, gf
 from fdrm.ferrers import FerrersDiagram, full_diagram
@@ -33,12 +39,16 @@ from fdrm.linalg import MatrixF, rank
 
 BUDGET = 1 << 24
 ENGINE = codes._min_rank
+# The largest dual, in codewords, that the cross-checks walk in full.  Outside
+# GF(2) the odometer ranks about 10^5 matrices a second, so walking every
+# dual that fits the budget would take minutes.
+DUAL_WALK_CAP = 1 << 13
 
 
-# -- plain reference: every nonzero message, no projective reduction --
+# -- plain reference: every message, no projective reduction --
 
 
-def _plain_min_rank_gf2(code) -> int:
+def _plain_distribution_gf2(code) -> list[int]:
     m, n = code.ambient
     k = code.dimension
     dtype = np.min_scalar_type((1 << n) - 1)
@@ -47,17 +57,14 @@ def _plain_min_rank_gf2(code) -> int:
     table = np.zeros((1, m), dtype=dtype)
     for b in basis[:low]:
         table = np.concatenate([table, table ^ b])  # all 2^low combinations
-    best = m + 1
+    hist = np.zeros(m + 1, dtype=np.int64)
     for hi in range(1 << (k - low)):
         top = np.zeros(m, dtype=dtype)
         for i in range(k - low):
             if hi >> i & 1:
                 top ^= basis[low + i]
-        ranks = _gf2.rank_batch(table ^ top)
-        if hi == 0:
-            ranks[0] = m + 1  # the zero codeword
-        best = min(best, int(ranks.min()))
-    return best
+        hist += np.bincount(_gf2.rank_batch(table ^ top), minlength=m + 1)
+    return hist.tolist()[: min(m, n) + 1]
 
 
 def _field_tables(f):
@@ -88,7 +95,7 @@ def _rank_batch_tables(words, tables) -> np.ndarray:
     return used.sum(axis=1)
 
 
-def _plain_min_rank_tables(code) -> int:
+def _plain_distribution_tables(code) -> list[int]:
     f = code.field
     m, n = code.ambient
     tables = _field_tables(f)
@@ -98,31 +105,46 @@ def _plain_min_rank_tables(code) -> int:
     table = np.zeros((1, m, n), dtype=np.int64)
     for b in basis[:low]:
         table = np.concatenate([add[table, mul[c, b]] for c in range(f.order)])
-    best = min(m, n) + 1
+    hist = np.zeros(min(m, n) + 1, dtype=np.int64)
     for hi in itertools.product(range(f.order), repeat=code.dimension - low):
         top = np.zeros((m, n), dtype=np.int64)
         for c, b in zip(hi, basis[low:]):
             top = add[top, mul[c, b]]
         ranks = _rank_batch_tables(add[table, top], tables)
-        if not any(hi):
-            ranks[0] = best  # the zero codeword
-        best = min(best, int(ranks.min()))
-    return best
+        hist += np.bincount(ranks, minlength=len(hist))
+    return hist.tolist()
 
 
-def plain_min_rank(code) -> int:
+def plain_distribution(code) -> list[int]:
+    """Codewords of each rank 0..min(m, n), the zero codeword included."""
     if code.field.order == 2:
-        return _plain_min_rank_gf2(code)
-    return _plain_min_rank_tables(code)
+        return _plain_distribution_gf2(code)
+    return _plain_distribution_tables(code)
+
+
+def _least_nonzero_rank(dist) -> int:
+    return next(i for i in range(1, len(dist)) if dist[i])
+
+
+def _dual_codewords(code) -> int:
+    m, n = code.ambient
+    return code.field.order ** (m * n - code.dimension)
 
 
 def assert_matches_plain(code, line: int) -> int:
-    ref = plain_min_rank(code)
+    """Both walks and the routed engine against the plain walk; the dual
+    distribution whenever the dual fits DUAL_WALK_CAP."""
+    dist = plain_distribution(code)
+    ref = _least_nonzero_rank(dist)
     assert ENGINE(code, BUDGET, None, line) == ref
+    assert codes._projective_min_rank(code, None, line) == ref
     for floor in (ref, ref + 1):
-        got = ENGINE(code, BUDGET, floor, line)
-        assert (got >= floor) == (ref >= floor)
-        assert got >= ref  # an early exit still reports a true rank
+        for got in (ENGINE(code, BUDGET, floor, line),
+                    codes._projective_min_rank(code, floor, line)):
+            assert (got >= floor) == (ref >= floor)
+            assert got >= ref  # an early exit still reports a true rank
+    if _dual_codewords(code) <= DUAL_WALK_CAP:
+        assert codes._dual_distribution(code) == dist
     return ref
 
 
@@ -253,6 +275,126 @@ def test_random_general_codes_match_plain_walk(p, s):
             continue  # dependent basis
         assert_matches_plain(code, 1)
         done += 1
+
+
+# -- the dual route: distributions, corrupted bases, tampered walks, refusals --
+
+
+def _random_full_code(rng, f, m, n, k):
+    while True:
+        basis = tuple(
+            MatrixF.from_rows(f, [[rng.randrange(f.order) for _ in range(n)]
+                                  for _ in range(m)])
+            for _ in range(k)
+        )
+        try:
+            return FdrmCode(f, full_diagram(m, n), basis, 1, {})
+        except CodeError:
+            continue  # dependent basis
+
+
+def _transpose(code):
+    m, n = code.ambient
+    return FdrmCode(code.field, full_diagram(n, m),
+                    tuple(b.transpose() for b in code.basis), 1, {})
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_random_codes_dual_distribution_matches_plain_walk(p, s):
+    # k is drawn so that both the code and its dual fit DUAL_WALK_CAP; each
+    # code is checked as m x n and transposed, as n x m.
+    f = gf(p, s)
+    rng = random.Random(11 * p + s)
+    done = 0
+    while done < 6:
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        ks = [k for k in range(1, m * n + 1)
+              if max(f.order**k, f.order ** (m * n - k)) <= DUAL_WALK_CAP]
+        if not ks:
+            continue
+        code = _random_full_code(rng, f, m, n, rng.choice(ks))
+        for c in (code, _transpose(code)):
+            assert _dual_codewords(c) <= DUAL_WALK_CAP
+            assert_matches_plain(c, 1)
+        done += 1
+
+
+def _shortened(p, s, gammas, delta):
+    diagram = FerrersDiagram(gammas)
+    return construct_shortened(tower_for_shortened(p, s, diagram, delta), diagram, delta)
+
+
+@pytest.mark.parametrize("p, s, gammas, delta", [
+    (3, 1, (2, 3, 3), 2),
+    (2, 1, (2, 3, 4, 4), 3),
+    (2, 2, (2, 3, 3), 2),
+])
+def test_corrupted_entry_gets_the_same_verdict_on_both_routes(p, s, gammas, delta):
+    code = _shortened(p, s, gammas, delta)
+    m, n = code.ambient
+    verdicts = []
+    for i, j in itertools.product(range(m), range(n)):
+        if not code.diagram.dot(i, j):
+            continue
+        rows = [list(r) for r in code.basis[0].rows]
+        rows[i][j] = code.field.add(rows[i][j], 1)
+        basis = (MatrixF.from_rows(code.field, rows),) + code.basis[1:]
+        try:
+            bad = FdrmCode(code.field, code.diagram, basis, delta, {})
+        except CodeError:
+            continue  # the corrupted matrix fell into the span of the others
+        want = _least_nonzero_rank(plain_distribution(bad)) >= delta
+        assert (codes._projective_min_rank(bad, delta) >= delta) == want
+        assert (_least_nonzero_rank(codes._dual_distribution(bad)) >= delta) == want
+        verdicts.append(want)
+    assert False in verdicts  # some corruption breaks the claim
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda h, q: [h[0], h[1] + q - 1] + h[2:],  # one line too many
+    lambda h, q: h[:-1] + [h[-1] - (q - 1)],  # one line too few
+    lambda h, q: [2] + h[1:],  # two zero codewords
+    lambda h, q: [h[0], h[1] - (q - 1), h[2] + q - 1] + h[3:],  # a line moved
+], ids=["extra-line", "missing-line", "zero-twice", "moved-line"])
+def test_tampered_dual_histogram_raises(monkeypatch, tamper):
+    code = _shortened(3, 1, (2, 3, 3), 2)  # 3^5 codewords, a 3^4-codeword dual
+    honest = codes._rank_histogram
+    monkeypatch.setattr(codes, "_rank_histogram",
+                        lambda *args: tamper(honest(*args), code.field.order))
+    with pytest.raises(CodeError, match="dual rank distribution"):
+        codes._dual_distribution(code)
+    with pytest.raises(CodeError, match="dual rank distribution"):
+        certify(code)  # routed through the dual, never "verified"
+
+
+def test_min_rank_walks_the_side_with_fewer_lines(monkeypatch):
+    walked = []
+    for name in ("_dual_distribution", "_projective_min_rank"):
+        honest = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda *a, name=name, honest=honest:
+                            walked.append(name) or honest(*a))
+    # k' = 11 in a 4x4 ambient: 88,573 F_3-lines against 121 in the dual
+    assert certify(_shortened(3, 1, (3, 4, 4, 4), 2))[1] == "verified"
+    # 3^10 codewords over F_{3^5}-lines: 244 representatives against
+    # 7,174,453 F_3-lines in the dual
+    t = build_tower(3, 1, (5,))
+    assert mrd_check(t, moore_matrix(t, t.betas[:5], 2), 4)
+    assert walked == ["_dual_distribution", "_projective_min_rank"]
+
+
+@pytest.mark.parametrize("p, chain, gammas, delta, w", [
+    (2, (5, 15), (10,) * 5 + (15,) * 10, 12, 2),
+    (2, (4, 16), (16,) * 16, 13, 4),
+    (3, (3, 6), (6,) * 6, 4, 2),
+], ids=["cor28-dim40", "cor28-dim64", "cor28-dim18-q3"])
+def test_budget_refusal_walks_neither_side(monkeypatch, p, chain, gammas, delta, w):
+    code = construct_staircase_l2(build_tower(p, 1, chain), FerrersDiagram(gammas),
+                                  delta, 0, w)
+    walks = []
+    monkeypatch.setattr(codes, "_dual_distribution", lambda *a: walks.append(a))
+    monkeypatch.setattr(codes, "_projective_min_rank", lambda *a: walks.append(a))
+    assert certify(code)[1] == "unverified-at-scale"
+    assert walks == []
 
 
 # -- packed GF(2) kernel with a coset offset --
