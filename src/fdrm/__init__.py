@@ -15,13 +15,11 @@ from .codes import (
     CodeError,
     DEFAULT_BUDGET,
     FdrmCode,
-    RestrictionProfile,
     certify,
     distance_at_least,
     is_optimal,
     min_rank_distance,
     mrd_check,
-    restrict_subcode,
     sampled_min_rank,
     verify_support,
 )

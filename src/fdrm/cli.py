@@ -113,9 +113,7 @@ def _rebuild(path: str):
     data = _load_cert(path, "certificate")
     try:
         return code_from_certificate(data)
-    except (
-        AttributeError, CodeError, DiagramError, FieldError, KeyError, TypeError, ValueError
-    ) as e:
+    except (CodeError, DiagramError, FieldError) as e:
         raise _Exit(EXIT_PARSE, f"certificate {path}: {e}")
 
 
@@ -131,7 +129,7 @@ def _cmd_bound(args) -> int:
 
 def _certify_and_emit(code, field_serial, budget, path) -> int:
     code, status = certify(code, budget)
-    _write_json(certificate(code, field_serial=field_serial), path)
+    _write_json(certificate(code, status == "verified", field_serial=field_serial), path)
     print(f"{code.describe()}: {status}", file=sys.stderr)
     return EXIT_OK if status == "verified" else EXIT_UNVERIFIED
 
@@ -215,7 +213,7 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        _write_json(certificate(code), args.json)
+        _write_json(certificate(code, status == "verified"), args.json)
     return EXIT_OK
 
 

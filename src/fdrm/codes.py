@@ -1,26 +1,29 @@
 """FDRM code model: exhaustive rank-distance verification and MRD checks.
 
-A code is stored by an explicit basis of codeword matrices over its entry
-field, so one enumeration engine verifies every construction.  Every
-nonzero multiple of a codeword has its rank, so the engine ranks one
-representative per line of nonzero codewords: per F_q-line for any code,
-per F_{q^m}-line for the generator expansions `mrd_check` verifies.  When
-the Delsarte dual has fewer F_q-lines than the code has representatives,
-the engine walks the dual in full instead and reads the code's exact rank
-distribution off the MacWilliams identities (Delsarte 1978).  A budget
-(default 2^24) counts the claim's q^k' codewords, whichever side is
-walked, and turns oversized requests into a distinct, recoverable signal
-rather than a silent skip.
+A code is its basis: codeword matrices over its entry field, validated
+once when the code is built, so one enumeration engine verifies every
+construction.  Whether a claim was checked is the status `certify`
+returns, not part of the code.  Every nonzero multiple of a codeword has
+its rank, so the engine ranks one representative per line of nonzero
+codewords: per F_q-line for any code, per F_{q^m}-line for the generator
+expansions `mrd_check` verifies.  When the Delsarte dual has fewer
+F_q-lines than the code has representatives, the engine walks the dual
+in full instead and reads the code's exact rank distribution off the
+MacWilliams identities (Delsarte 1978).  A budget (default 2^24) counts
+the claim's q^k' codewords, whichever side is walked, and turns
+oversized requests into a distinct, recoverable signal rather than a
+silent skip.
 
 Every generator-derived code is built once, on its final diagram, by
 `generator_subcode`; `json_value` reads untrusted certificate fields at
-their exact JSON type.
+their exact JSON type, and a certificate row is read only as it would be
+written.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _gf2
 from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
@@ -40,31 +43,13 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class RestrictionProfile:
-    """Monotone column caps (lambda_0 <= ... <= lambda_{k-1}) for subcodes."""
-
-    lambdas: tuple[int, ...]
-
-    def __post_init__(self):
-        lam = self.lambdas
-        if any(not isinstance(x, int) or x < 0 for x in lam):
-            raise CodeError(f"profile entries must be >= 0: {lam}")
-        if any(a > b for a, b in zip(lam, lam[1:])):
-            raise CodeError(f"profile must be non-decreasing: {lam}")
-
-    @property
-    def k(self) -> int:
-        return len(self.lambdas)
-
-
-@dataclass(frozen=True, eq=False)
 class FdrmCode:
     """Linear rank-metric code supported on a Ferrers diagram.
 
     `basis` holds k' matrices over `field` (the entry field); the code is
     the `field`-span of the basis, so k' is the dimension over the entry
-    field.  `claimed_delta` is the designed distance; `verified` records
-    whether an exhaustive distance check has confirmed it.
+    field.  `claimed_delta` is the designed distance; `certify` checks it.
+    The basis is validated once, here, when the code is built.
     """
 
     field: GF
@@ -72,7 +57,6 @@ class FdrmCode:
     basis: tuple[MatrixF, ...]
     claimed_delta: int
     provenance: dict
-    verified: bool = False
 
     def __post_init__(self):
         m, n = self.diagram.m, self.diagram.n
@@ -386,7 +370,7 @@ def is_optimal(code: FdrmCode, delta: int, budget: int = DEFAULT_BUDGET) -> bool
 
 
 def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str]:
-    """Run in-budget verification; returns (updated code, status).
+    """Run in-budget verification; returns (the same code, status).
 
     Status is "verified" when the exhaustive distance check confirms the
     claimed distance, "unverified-at-scale" when enumeration exceeds the
@@ -398,12 +382,12 @@ def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str
     try:
         ok = distance_at_least(code, code.claimed_delta, budget)
     except BudgetExceeded:
-        return replace(code, verified=False), "unverified-at-scale"
+        return code, "unverified-at-scale"
     if not ok:
         raise CodeError(
             f"exhaustive distance below claimed {code.claimed_delta}"
         )
-    return replace(code, verified=True), "verified"
+    return code, "verified"
 
 
 def generator_subcode(
@@ -414,9 +398,9 @@ def generator_subcode(
     span(beta_1, ..., beta_{gamma_i}), laid out on `diagram`.
 
     The one builder behind every generator-derived code: full expansions,
-    restricted subcodes, shortened, thm23 and staircase codes.  The basis
-    matrix for u = beta_{t+1} e_i is psi(beta_{t+1} g_i), a t_l-row block
-    over diagram.m - t_l zero rows; for r > 0 it also carries a 1 in each
+    shortened, thm23 and staircase codes.  The basis matrix for
+    u = beta_{t+1} e_i is psi(beta_{t+1} g_i), a t_l-row block over
+    diagram.m - t_l zero rows; for r > 0 it also carries a 1 in each
     staircase column n-r+h, h >= i, at row t_l + gamma_{i+1} + ... +
     gamma_h + t.
     """
@@ -473,53 +457,15 @@ def mrd_check(
     return _min_rank(code, budget, floor=delta, line=m) >= delta
 
 
-def restrict_subcode(
-    tower: FieldTower,
-    G: MatrixF,
-    profile: RestrictionProfile,
-    delta: int | None = None,
-    provenance: dict | None = None,
-) -> FdrmCode:
-    """Subcode of a systematic MRD code with message coordinates confined.
-
-    Message u_i ranges over the span of the first lambda_i betas; the
-    resulting code has dimension sum(lambda_i) on the diagram
-    [lambda_0, ..., lambda_{k-1}, m, ..., m] and inherits the parent's
-    minimum distance, n - k + 1 unless `delta` says otherwise.  The
-    constructions build on their own taller diagrams through
-    `generator_subcode` directly.
-    """
-    k, n = G.shape
-    m = tower.top_degree
-    if profile.k != k:
-        raise CodeError(f"profile length {profile.k} != generator rows {k}")
-    if any(G.entry(i, j) != (i == j) for i in range(k) for j in range(k)):
-        raise CodeError("generator is not systematic (I_k | A)")
-    lam = profile.lambdas
-    if lam and lam[-1] > m:
-        raise CodeError(f"profile exceeds m = {m}")
-    if lam and lam[0] < 1:
-        raise CodeError(
-            "lambda_0 = 0 would empty the first diagram column; "
-            "drop the coordinate instead"
-        )
-    diagram = FerrersDiagram(tuple(lam) + (m,) * (n - k))
-    provenance = provenance or {"construction": "restrict-subcode", "profile": list(lam)}
-    return generator_subcode(
-        tower, G, diagram, n - k + 1 if delta is None else delta, provenance
-    )
-
-
-def canonical_basis(code: FdrmCode) -> FdrmCode:
-    """Same code with its basis replaced by the reduced echelon form of the
-    flattened basis matrix (deterministic representative)."""
+def canonical_basis(code: FdrmCode) -> tuple[MatrixF, ...]:
+    """The code's basis in reduced echelon form of the flattened basis
+    matrix (a deterministic representative of the same span)."""
     m, n = code.ambient
     red, pivots = rref(MatrixF.from_rows(code.field, _flat_basis(code)))
-    basis = tuple(
+    return tuple(
         MatrixF.from_rows(code.field, [r[i * n : (i + 1) * n] for i in range(m)])
         for r in red.rows[: len(pivots)]
     )
-    return replace(code, basis=basis)
 
 
 # -- certificate serialization --
@@ -532,17 +478,27 @@ def _row_string(field: GF, row) -> str:
 
 
 def _row_parse(field: GF, text: str, ncols: int) -> tuple[int, ...]:
-    if field.order <= 16:
-        vals = tuple(int(ch, 16) for ch in text)
-    else:
-        vals = tuple(int(x) for x in text.split(".") if x != "")
-    if len(vals) != ncols:
-        raise CodeError(f"row {text!r} has {len(vals)} entries, expected {ncols}")
+    """The entries of a row string, read only in the exact form `_row_string`
+    writes (int() alone takes signs, spaces, "_", upper-case hex and
+    non-ASCII digits): up to GF(16) one lower-case hex digit per entry,
+    beyond that decimals that write back to `text`."""
+    try:
+        if field.order <= 16:
+            vals = tuple(map("0123456789abcdef".index, text))
+        else:
+            vals = tuple(map(int, text.split(".")))
+            if _row_string(field, vals) != text:
+                vals = None
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) != ncols:
+        raise CodeError(f"row {text!r} is not {ncols} entries over GF({field.order})")
     return vals
 
 
-def certificate(code: FdrmCode, field_serial: dict | None = None) -> dict:
-    """Machine-readable certificate for a code."""
+def certificate(code: FdrmCode, verified: bool, field_serial: dict | None = None) -> dict:
+    """Machine-readable certificate for a code; `verified` says whether its
+    claimed distance was checked (`certify` returned "verified")."""
     return {
         "field": field_serial
         or {"p": code.field.p, "s": code.field.degree, "chain": [1],
@@ -555,7 +511,7 @@ def certificate(code: FdrmCode, field_serial: dict | None = None) -> dict:
         "diagram": code.diagram.text(),
         "dimension": code.dimension,
         "delta": code.claimed_delta,
-        "verified": code.verified,
+        "verified": verified,
         "provenance": code.provenance,
         "basis": [
             [_row_string(code.field, row) for row in b.rows] for b in code.basis
@@ -568,9 +524,12 @@ def json_value(obj: dict, key: str, kind: type, default=None):
 
     Certificates and requests are untrusted, so nothing is coerced: int
     means a JSON integer, never a bool, float or string, and list means a
-    list of JSON integers.  Anything else raises CodeError.
+    list of JSON integers.  Anything else, or a missing key without a
+    default, raises CodeError.
     """
-    if key not in obj and default is not None:
+    if key not in obj:
+        if default is None:
+            raise CodeError(f"{key} is missing")
         return default
     value = obj[key]
     ok = type(value) is kind
@@ -586,11 +545,16 @@ def code_from_certificate(data: dict) -> FdrmCode:
     """Rebuild a code from its certificate.
 
     Only `entry_field`, `diagram`, `dimension`, `delta`, `verified`,
-    `provenance` and `basis` are read; the `field` block is informational.
-    The entry field is checked against degree DEFAULT_MAX_DEGREE and order
-    2^DEFAULT_MAX_DEGREE before it is built, since building a field costs
-    time that grows with its order.
+    `provenance` and `basis` are read; the `field` block is informational,
+    and `verified` is type-checked and dropped, since only `certify` can
+    tell.  The entry field is checked against degree DEFAULT_MAX_DEGREE and
+    order 2^DEFAULT_MAX_DEGREE before it is built, since building a field
+    costs time that grows with its order.  Every malformed certificate
+    raises CodeError, DiagramError or FieldError.
     """
+    if type(data) is not dict:
+        raise CodeError(f"certificate must be a JSON object, not {type(data).__name__}")
+    json_value(data, "verified", bool, False)
     ef = json_value(data, "entry_field", dict)
     p, degree = json_value(ef, "p", int), json_value(ef, "degree", int)
     if not 1 <= degree <= DEFAULT_MAX_DEGREE or abs(p) ** degree > 1 << DEFAULT_MAX_DEGREE:
@@ -603,7 +567,7 @@ def code_from_certificate(data: dict) -> FdrmCode:
         raise CodeError("certificate modulus does not match canonical modulus")
     diagram = FerrersDiagram.parse(json_value(data, "diagram", str))
     provenance = json_value(data, "provenance", dict, {})
-    matrices = data["basis"]
+    matrices = data.get("basis")
     if type(matrices) is not list or not all(
         type(rows) is list and len(rows) == diagram.m
         and all(type(r) is str for r in rows)
@@ -626,7 +590,6 @@ def code_from_certificate(data: dict) -> FdrmCode:
         basis=basis,
         claimed_delta=json_value(data, "delta", int),
         provenance=dict(provenance),
-        verified=json_value(data, "verified", bool, False),
     )
     if code.dimension != json_value(data, "dimension", int):
         raise CodeError("certificate dimension mismatch")

@@ -154,6 +154,9 @@ def restricted_gabidulin(tower: FieldTower, n: int, delta: int) -> MatrixF:
 
 
 # -- exact MRD witness test (kernel-space enumeration) --
+# A full-rank k x n generator G has a nonzero codeword of rank below
+# n - k + 1 iff G W is singular for some full-column-rank n x k W over F_q;
+# one W per column space suffices, far fewer than the codewords.
 
 
 def _subspace_reps(base: GF, n: int, k: int):
@@ -250,25 +253,6 @@ def _gw_invertible(tower: FieldTower, cols, prepared) -> bool:
             row.append(acc)
         gw.append(row)
     return _det_nonzero(f, gw, k)
-
-
-def mrd_witness_check(tower: FieldTower, matrix: MatrixF, delta: int) -> bool:
-    """Exact MRD test by enumerating kernel-space witnesses.
-
-    The code of a full-rank k x n generator has a nonzero codeword of rank
-    below n - k + 1 iff G W is singular for some full-column-rank W over
-    F_q; this enumerates one W per column space.  Independent of (and much
-    smaller than) codeword enumeration.
-    """
-    k, n = matrix.shape
-    if delta != n - k + 1:
-        return False
-    cols = [matrix.col(j) for j in range(n)]
-    for group in _witness_groups(tower.p, tower.s, n, k):
-        for prepared in _prepare_witnesses(tower, group):
-            if not _gw_invertible(tower, cols, prepared):
-                return False
-    return True
 
 
 def _free_column_isometry(tower: FieldTower, k: int, n: int, rng) -> MatrixF:
@@ -725,14 +709,12 @@ def combine_codes(
         )
     diagram = combine_diagrams(c1.diagram, c2.diagram, m3, n3)
     m, n = diagram.m, diagram.n
-    m2, n2 = c2.diagram.m, c2.diagram.n
-    b1 = canonical_basis(c1).basis
-    b2 = canonical_basis(c2).basis
+    n2 = c2.diagram.n
     basis = tuple(
         block_compose(
             c1.field, (m, n), [(0, 0, x), (m3, n - n2, y)]
         )
-        for x, y in zip(b1, b2)
+        for x, y in zip(canonical_basis(c1), canonical_basis(c2))
     )
     return FdrmCode(
         field=c1.field,

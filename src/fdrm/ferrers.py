@@ -35,7 +35,11 @@ class FerrersDiagram:
         m = re.fullmatch(r"\s*\[\s*(\d+(?:\s*,\s*\d+)*)\s*\]\s*", text)
         if not m:
             raise DiagramError(f"cannot parse diagram {text!r}")
-        return cls(tuple(int(x) for x in m.group(1).split(",")))
+        try:
+            gammas = tuple(int(x) for x in m.group(1).split(","))
+        except ValueError:  # a digit string past int()'s length limit
+            raise DiagramError("diagram entry has too many digits")
+        return cls(gammas)
 
     @property
     def n(self) -> int:

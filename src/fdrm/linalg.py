@@ -51,9 +51,6 @@ class MatrixF:
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
@@ -62,10 +59,6 @@ class MatrixF:
 
     def submatrix(self, row_slice: slice, col_slice: slice) -> "MatrixF":
         return MatrixF(self.field, tuple(r[col_slice] for r in self.rows[row_slice]))
-
-    def scale(self, c: int) -> "MatrixF":
-        f = self.field
-        return MatrixF(f, tuple(tuple(f.mul(c, e) for e in r) for r in self.rows))
 
     def mul(self, other: "MatrixF") -> "MatrixF":
         if other.field is not self.field or self.ncols != other.nrows:

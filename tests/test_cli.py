@@ -247,8 +247,8 @@ def _integer_rows(cert):
     cert["basis"] = [[int(row) for row in b] for b in cert["basis"]]
 
 
-def _basis_cert(tmp_path, basis, diagram="[1]"):
-    cert = {"entry_field": {"p": 2, "degree": 1}, "diagram": diagram,
+def _basis_cert(tmp_path, basis, diagram="[1]", p=2, degree=1):
+    cert = {"entry_field": {"p": p, "degree": degree}, "diagram": diagram,
             "dimension": len(basis), "delta": 1, "basis": basis}
     return ["verify", _write(tmp_path / "basis.json", cert)]
 
@@ -278,6 +278,14 @@ def _basis_cert(tmp_path, basis, diagram="[1]"):
         lambda tmp: _basis_cert(tmp, [[1]]),
         lambda tmp: _basis_cert(tmp, [["1"], "1"]),
         lambda tmp: _basis_cert(tmp, [["1", "0"], "01"], diagram="[2]"),
+        lambda tmp: _basis_cert(tmp, [[" 1.+1_0"]], diagram="[1,1]", p=17),
+        lambda tmp: _basis_cert(tmp, [["1..0"]], diagram="[1,1]", p=17),
+        lambda tmp: _basis_cert(tmp, [["A0"]], diagram="[1,1]", degree=4),
+        lambda tmp: _raw(tmp, ["verify"], '[{"diagram": "[1]"}]'),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.pop("dimension")),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.pop("basis")),
+        lambda tmp: _tampered_cert(tmp, lambda c: c.update(diagram=f"[{HUGE}]")),
+        lambda tmp: ["bound", "-F", f"[{HUGE}]", "-d", "1"],
     ],
     ids=["request-delta-x", "request-list", "cert-zero-dimension",
          "cert-integer-rows", "cert-provenance-list", "request-deep",
@@ -285,7 +293,10 @@ def _basis_cert(tmp_path, basis, diagram="[1]"):
          "request-delta-string", "request-chain-string", "cert-deep",
          "cert-huge-int", "cert-infinity", "cert-degree-float",
          "cert-verified-string", "cert-basis-strings", "cert-basis-object",
-         "cert-basis-integer-row", "cert-basis-mixed", "cert-basis-string-matrix"],
+         "cert-basis-integer-row", "cert-basis-mixed", "cert-basis-string-matrix",
+         "cert-row-int-syntax", "cert-row-empty-entry", "cert-row-upper-hex",
+         "cert-list", "cert-no-dimension", "cert-no-basis", "cert-diagram-huge-int",
+         "bound-diagram-huge-int"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     argv = argv(tmp_path)

@@ -13,16 +13,15 @@ from fdrm.codes import (
     BudgetExceeded,
     CodeError,
     FdrmCode,
-    RestrictionProfile,
     canonical_basis,
     certificate,
     certify,
     code_from_certificate,
     distance_at_least,
+    generator_subcode,
     is_optimal,
     min_rank_distance,
     mrd_check,
-    restrict_subcode,
     sampled_min_rank,
     verify_support,
 )
@@ -214,22 +213,14 @@ def test_mrd_check_requires_m_ge_n():
         mrd_check(t, G, 2)
 
 
-# -- restriction --
-
-
-def test_restriction_profile_validation():
-    RestrictionProfile((0, 1, 2))
-    with pytest.raises(CodeError):
-        RestrictionProfile((2, 1))
-    with pytest.raises(CodeError):
-        RestrictionProfile((-1, 2))
+# -- restriction: message coordinate i confined to the first gamma_i betas --
 
 
 def test_restrict_subcode_full_profile_is_parent():
     t = build_tower(2, 1, (3,))
     G = moore_matrix(t, t.betas, 2)
     _, S = systematic_form(G)
-    code = restrict_subcode(t, S, RestrictionProfile((3, 3)))
+    code = generator_subcode(t, S, FerrersDiagram((3, 3, 3)), 2, {})
     assert code.dimension == 6  # m*k
     assert code.diagram.gammas == (3, 3, 3)
     assert min_rank_distance(code) == 2
@@ -239,7 +230,7 @@ def test_restrict_subcode_profile_1_2():
     t = build_tower(2, 1, (3,))
     G = moore_matrix(t, t.betas, 2)
     _, S = systematic_form(G)
-    code = restrict_subcode(t, S, RestrictionProfile((1, 2)))
+    code = generator_subcode(t, S, FerrersDiagram((1, 2, 3)), 2, {})
     assert code.dimension == 3
     assert code.diagram.gammas == (1, 2, 3)
     assert verify_support(code)
@@ -247,18 +238,6 @@ def test_restrict_subcode_profile_1_2():
     # subcode optimality: dimension matches v_0 of the bound
     bound, v = singleton_bound(code.diagram, 2)
     assert code.dimension == bound == v[0]
-
-
-def test_restrict_subcode_errors():
-    t = build_tower(2, 1, (3,))
-    G = moore_matrix(t, t.betas, 2)
-    with pytest.raises(CodeError):
-        restrict_subcode(t, G, RestrictionProfile((1, 2)))  # not systematic
-    _, S = systematic_form(G)
-    with pytest.raises(CodeError):
-        restrict_subcode(t, S, RestrictionProfile((2, 1)))
-    with pytest.raises(CodeError):
-        restrict_subcode(t, S, RestrictionProfile((0, 1)))
 
 
 def test_restrict_subcode_distance_never_below_parent():
@@ -269,7 +248,8 @@ def test_restrict_subcode_distance_never_below_parent():
     for _ in range(10):
         lo = rng.randint(1, 4)
         hi = rng.randint(lo, 4)
-        code = restrict_subcode(t, S, RestrictionProfile((lo, hi)))
+        code = generator_subcode(t, S, FerrersDiagram((lo, hi, 4, 4)), 3, {})
+        assert code.dimension == lo + hi
         assert min_rank_distance(code) >= 3  # parent delta = n - k + 1 = 3
 
 
@@ -279,13 +259,15 @@ def test_restrict_subcode_distance_never_below_parent():
 def test_certify_sets_verified():
     _, _, code = gabidulin_code(3, 2)
     code2, status = certify(code)
-    assert status == "verified" and code2.verified
+    assert status == "verified" and code2 is code
+    assert certificate(code, status == "verified")["verified"] is True
 
 
 def test_certify_budget_exceeded_is_unverified():
     _, _, code = gabidulin_code(3, 2)
     code2, status = certify(code, budget=8)
-    assert status == "unverified-at-scale" and not code2.verified
+    assert status == "unverified-at-scale" and code2 is code
+    assert certificate(code, status == "verified")["verified"] is False
 
 
 def test_certify_rejects_false_claims():
@@ -297,8 +279,8 @@ def test_certify_rejects_false_claims():
 
 def test_certificate_roundtrip():
     t, _, code = gabidulin_code(3, 2)
-    code, _ = certify(code)
-    data = certificate(code, field_serial=t.serialize())
+    code, status = certify(code)
+    data = certificate(code, status == "verified", field_serial=t.serialize())
     back = code_from_certificate(data)
     assert back.dimension == code.dimension
     assert back.diagram.gammas == code.diagram.gammas
@@ -309,8 +291,8 @@ def test_certificate_roundtrip_f4():
     t = build_tower(2, 2, (2,))  # F_4 < F_16
     G = moore_matrix(t, t.betas, 1)
     _, S = systematic_form(G)
-    code = restrict_subcode(t, S, RestrictionProfile((2,)))
-    data = certificate(code)
+    code = generator_subcode(t, S, FerrersDiagram((2, 2)), 2, {})
+    data = certificate(code, False)
     back = code_from_certificate(data)
     assert all(a.rows == b.rows for a, b in zip(back.basis, code.basis))
     assert back.field.order == 4
@@ -324,7 +306,8 @@ def test_canonical_basis_is_deterministic():
         code.claimed_delta, code.provenance,
     )
     c2 = canonical_basis(shuffled)
-    assert all(a.rows == b.rows for a, b in zip(c1.basis, c2.basis))
+    assert len(c1) == code.dimension
+    assert [a.rows for a in c1] == [b.rows for b in c2]
 
 
 def column_valid_lengths(code):

@@ -13,15 +13,14 @@ import fdrm.constructions
 from fdrm.codes import (
     CodeError,
     FdrmCode,
-    RestrictionProfile,
     certify,
     distance_at_least,
     is_optimal,
     min_rank_distance,
     mrd_check,
-    restrict_subcode,
     verify_support,
 )
+from fdrm.cli import main
 from fdrm.constructions import (
     ConstructionError,
     SystematicGenerator,
@@ -37,7 +36,6 @@ from fdrm.constructions import (
     lift_matrix_optimal,
     lift_vector,
     moore_matrix,
-    mrd_witness_check,
     restricted_gabidulin,
     systematic_mrd_with_first_column,
     tower_for_prescribed,
@@ -97,6 +95,25 @@ def test_restricted_gabidulin():
     assert G.row(0) == t1.betas
 
 
+def mrd_witness_check(tower, matrix, delta):
+    """Exact MRD test by enumerating kernel-space witnesses.
+
+    The code of a full-rank k x n generator has a nonzero codeword of rank
+    below n - k + 1 iff G W is singular for some full-column-rank W over
+    F_q; this enumerates one W per column space, with the witness helpers
+    of the prescribed-column search.
+    """
+    k, n = matrix.shape
+    if delta != n - k + 1:
+        return False
+    cols = matrix.transpose().rows
+    return all(
+        fdrm.constructions._gw_invertible(tower, cols, prepared)
+        for group in fdrm.constructions._witness_groups(tower.p, tower.s, n, k)
+        for prepared in fdrm.constructions._prepare_witnesses(tower, group)
+    )
+
+
 def test_witness_check_agrees_with_enumeration():
     # independent exact routes to the same MRD verdict
     rng = random.Random(12)
@@ -121,7 +138,7 @@ def test_prescribed_column_delta2_forced():
     t = build_tower(2, 1, (3,))
     a = (t.beta(2), t.beta(3))
     gen = systematic_mrd_with_first_column(t, a, 2, 3)
-    assert gen.matrix.col(2) == a
+    assert gen.matrix.transpose().rows[2] == a
     assert gen.verified
 
 
@@ -142,7 +159,7 @@ def test_prescribed_column_search_cost_independent_of_seed():
     assert len({g.provenance["attempts"] for g in gens}) == 1
     assert len({g.matrix.rows for g in gens}) > 1
     for g in gens:
-        assert [g.matrix.col(j) for j in range(3)] == [(1, 0), (0, 1), a]
+        assert g.matrix.transpose().rows[:3] == ((1, 0), (0, 1), a)
         assert mrd_check(t, g.matrix, 4)
 
 
@@ -208,6 +225,30 @@ def test_prescribed_column_delegates_to_shortening():
     assert is_optimal(code, 3)
 
 
+@pytest.fixture
+def built_codes(monkeypatch):
+    """Every FdrmCode built from here on, apart from those built inside
+    mrd_check, which are the parent checks, not an output."""
+    built, inside = [], [0]
+    post, check = FdrmCode.__post_init__, fdrm.constructions.mrd_check
+
+    def counting_post(self):
+        if not inside[0]:
+            built.append(self)
+        post(self)
+
+    def counting_check(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(FdrmCode, "__post_init__", counting_post)
+    monkeypatch.setattr(fdrm.constructions, "mrd_check", counting_check)
+    return built
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -221,26 +262,35 @@ def test_prescribed_column_delegates_to_shortening():
     ],
     ids=["shortened", "thm23-shortened", "thm23", "staircase-r1"],
 )
-def test_construction_builds_one_code(monkeypatch, build):
-    # Codes built inside mrd_check are the parent checks, not the output.
-    built, inside = [], [0]
-    post, check = FdrmCode.__post_init__, fdrm.constructions.mrd_check
-
-    def counting_post(self):
-        built.append(inside[0])
-        post(self)
-
-    def counting_check(*args, **kwargs):
-        inside[0] += 1
-        try:
-            return check(*args, **kwargs)
-        finally:
-            inside[0] -= 1
-
-    monkeypatch.setattr(FdrmCode, "__post_init__", counting_post)
-    monkeypatch.setattr(fdrm.constructions, "mrd_check", counting_check)
+def test_construction_builds_one_code(built_codes, build):
     build()
-    assert built.count(0) == 1
+    assert len(built_codes) == 1
+
+
+def test_certify_builds_no_code(built_codes):
+    F = FerrersDiagram((2, 3, 4, 4))
+    code = construct_shortened(build_tower(2, 1, (4,)), F, 3)
+    built_codes.clear()
+    assert certify(code)[1] == "verified"
+    assert built_codes == []
+
+
+@pytest.mark.parametrize(
+    "command, codes",
+    [(["verify", "c1"], 1),
+     (["combine", "c1", "c2", "--m3", "3", "--n3", "1"], 3),
+     (["lift", "c1", "--mode", "matrix"], 2)],
+    ids=["verify", "combine", "lift-matrix"],
+)
+def test_cli_command_validates_each_code_once(tmp_path, built_codes, command, codes):
+    # One code per certificate read and one per output; certify builds none.
+    path = {name: str(tmp_path / f"{name}.json") for name in ("c1", "c2", "out")}
+    for name, diagram, delta in (("c1", "[2,3,3]", "3"), ("c2", "[2]", "1")):
+        assert main(["construct", "--construction", "shortened", "-F", diagram,
+                     "-d", delta, "-q", "4", "--json", path[name]]) == 0
+    built_codes.clear()
+    assert main([path.get(a, a) for a in command] + ["--json", path["out"]]) == 0
+    assert len(built_codes) == codes
 
 
 def test_prescribed_column_condition_errors():
