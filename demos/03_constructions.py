@@ -50,5 +50,6 @@ F = FerrersDiagram.parse("[1,3,3,4]")
 code = construct_staircase(tower, F, delta=3, r=1, w=1)
 print(f"staircase r=1: {code.describe()}, optimal: {is_optimal(code, 3)}")
 print("one basis codeword (note the column below the coordinate block):")
-for row in code.basis[0].rows:
-    print("  ", row)
+b, n = code.basis[0], code.diagram.n  # each basis matrix is stored flat, row-major
+for i in range(0, len(b), n):
+    print("  ", b[i : i + n])

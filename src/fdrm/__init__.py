@@ -9,7 +9,7 @@ from .ferrers import (
     full_diagram,
     singleton_bound,
 )
-from .linalg import LinalgError, MatrixF, block_compose, rank, systematic_form
+from .linalg import LinalgError, MatrixF, rank, systematic_form
 from .codes import (
     BudgetExceeded,
     CodeError,

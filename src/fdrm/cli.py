@@ -12,6 +12,8 @@ Exit codes form a contract scripts can branch on:
   (the certificate is written and marked unverified-at-scale).
 
 A certificate is never marked verified unless the exhaustive check ran.
+A code's m x n ambient is capped at 1024 cells (codes.MAX_AMBIENT): an
+over-cap diagram exits 2 from construct and verify, 3 from combine and lift.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .codes import (
     CodeError,
     certificate,
     certify,
+    check_ambient,
     code_from_certificate,
     json_value,
 )
@@ -173,6 +176,7 @@ def _cmd_construct(args) -> int:
     diagram = _parse_diagram(args.diagram)
     p, s = _parse_field(args)
     try:
+        check_ambient(diagram)
         if name in ("staircase", "cor28"):
             if args.chain is None:
                 raise _Exit(EXIT_PARSE, "staircase constructions require --chain")
@@ -226,7 +230,7 @@ def _cmd_lift(args) -> int:
             out = lift_matrix(code, args.m)
         else:
             out = lift_matrix_optimal(code, args.m, budget=args.budget)
-    except ConstructionError as e:
+    except (ConstructionError, DiagramError) as e:
         raise _Exit(EXIT_PRECONDITION, str(e))
     return _certify_and_emit(out, None, args.budget, args.json)
 

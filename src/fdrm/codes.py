@@ -1,18 +1,20 @@
 """FDRM code model: exhaustive rank-distance verification and MRD checks.
 
-A code is its basis: codeword matrices over its entry field, validated
-once when the code is built, so one enumeration engine verifies every
-construction.  Whether a claim was checked is the status `certify`
-returns, not part of the code.  Every nonzero multiple of a codeword has
-its rank, so the engine ranks one representative per line of nonzero
-codewords: per F_q-line for any code, per F_{q^m}-line for the generator
-expansions `mrd_check` verifies.  When the Delsarte dual has fewer
-F_q-lines than the code has representatives, the engine walks the dual
-in full instead and reads the code's exact rank distribution off the
-MacWilliams identities (Delsarte 1978).  A budget (default 2^24) counts
-the claim's q^k' codewords, whichever side is walked, and turns
-oversized requests into a distinct, recoverable signal rather than a
-silent skip.
+A code is its basis: codeword matrices over its entry field, each stored
+flat, as its m*n entries in row-major order, so that the Delsarte pairing
+sum_ij a_ij b_ij is a dot product and elimination, the rank kernels and
+the dual read the rows as stored.  The basis is validated once, when the
+code is built, so one enumeration engine verifies every construction.
+Whether a claim was checked is the status `certify` returns, not part of
+the code.  Every nonzero multiple of a codeword has its rank, so the
+engine ranks one representative per line of nonzero codewords: per
+F_q-line for any code, per F_{q^m}-line for the generator expansions
+`mrd_check` verifies.  When the Delsarte dual has fewer F_q-lines than the
+code has representatives, the engine walks the dual in full instead and
+reads the code's exact rank distribution off the MacWilliams identities
+(Delsarte 1978).  A budget (default 2^24) counts the claim's q^k'
+codewords, whichever side is walked, and turns oversized requests into a
+distinct, recoverable signal rather than a silent skip.
 
 Every generator-derived code is built once, on its final diagram, by
 `generator_subcode`; `json_value` reads untrusted certificate fields at
@@ -27,10 +29,14 @@ from dataclasses import dataclass
 
 from . import _gf2
 from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
-from .ferrers import FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF, rref
+from .ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
+from .linalg import MatrixF
 
 DEFAULT_BUDGET = 1 << 24
+
+# Largest m*n of a code's ambient: building, validating and walking a basis
+# all take time that grows with it, so a larger diagram is refused up front.
+MAX_AMBIENT = 1024
 
 
 class CodeError(ValueError):
@@ -46,15 +52,15 @@ class BudgetExceeded(RuntimeError):
 class FdrmCode:
     """Linear rank-metric code supported on a Ferrers diagram.
 
-    `basis` holds k' matrices over `field` (the entry field); the code is
-    the `field`-span of the basis, so k' is the dimension over the entry
-    field.  `claimed_delta` is the designed distance; `certify` checks it.
-    The basis is validated once, here, when the code is built.
+    `basis` holds k' matrices over `field` (the entry field), each a flat
+    row-major tuple of m*n entries; the code is their `field`-span, so k'
+    is its dimension over the entry field.  `claimed_delta` is the designed
+    distance; `certify` checks it.  The basis is validated once, here.
     """
 
     field: GF
     diagram: FerrersDiagram
-    basis: tuple[MatrixF, ...]
+    basis: tuple[tuple[int, ...], ...]
     claimed_delta: int
     provenance: dict
 
@@ -64,14 +70,13 @@ class FdrmCode:
             raise CodeError(
                 f"claimed distance {self.claimed_delta} outside 1..{min(m, n)}"
             )
+        q = self.field.order
         for b in self.basis:
-            if b.field is not self.field:
-                raise CodeError("basis matrix field differs from code field")
-            if b.shape != (m, n):
-                raise CodeError(
-                    f"basis matrix shape {b.shape} != ambient {(m, n)}"
-                )
-        if len(eliminate(_flat_basis(self), self.field)) != len(self.basis):
+            if len(b) != m * n:
+                raise CodeError(f"basis matrix of {len(b)} entries != ambient {m} x {n}")
+            if not all(isinstance(e, int) and 0 <= e < q for e in b):
+                raise CodeError(f"basis matrix has an entry outside GF({q})")
+        if len(eliminate(list(self.basis), self.field)) != len(self.basis):
             raise CodeError("basis matrices are not linearly independent")
 
     @property
@@ -89,26 +94,19 @@ class FdrmCode:
         )
 
 
+def check_ambient(diagram: FerrersDiagram) -> FerrersDiagram:
+    """`diagram`, or DiagramError when its m x n exceeds MAX_AMBIENT cells."""
+    if diagram.m * diagram.n > MAX_AMBIENT:
+        raise DiagramError(f"ambient {diagram.m} x {diagram.n} exceeds {MAX_AMBIENT} cells")
+    return diagram
+
+
 def verify_support(code: FdrmCode) -> bool:
     """True iff every basis matrix vanishes outside the diagram's dots."""
-    m, n = code.diagram.m, code.diagram.n
-    for b in code.basis:
-        if b.shape != (m, n):
-            raise CodeError("ambient/diagram size mismatch")
-        for i in range(m):
-            for j in range(n):
-                if b.rows[i][j] and not code.diagram.dot(i, j):
-                    return False
-    return True
-
-
-def _flat_basis(code: FdrmCode) -> list[list[int]]:
-    """The basis as k' rows of m*n entries, each matrix flattened row-major.
-
-    Under this flattening sum_ij a_ij b_ij is the dot product of rows, so the
-    null space of these rows is the Delsarte dual of the code.
-    """
-    return [[e for row in b.rows for e in row] for b in code.basis]
+    n = code.diagram.n
+    return all(
+        code.diagram.dot(*divmod(x, n)) for b in code.basis for x, e in enumerate(b) if e
+    )
 
 
 def _kernel_basis(field: GF, n: int, flat: list) -> tuple[bool, list]:
@@ -204,7 +202,7 @@ def _projective_min_rank(code: FdrmCode, floor: int | None, line: int = 1) -> in
     """
     field = code.field
     mrows, n = code.ambient
-    packed, basis = _kernel_basis(field, n, _flat_basis(code))
+    packed, basis = _kernel_basis(field, n, code.basis)
     e = field.degree * line
     best = min(mrows, n) + 1
     for j in range(0, len(basis), e):
@@ -224,13 +222,13 @@ def _projective_min_rank(code: FdrmCode, floor: int | None, line: int = 1) -> in
 def _dual_rows(code: FdrmCode) -> list[list[int]]:
     """Flat rows spanning the Delsarte dual {B : sum_ij a_ij b_ij = 0 for all A}.
 
-    One reduced elimination of `_flat_basis` leaves rows R with pivot
+    One reduced elimination of the flat basis rows leaves rows R with pivot
     columns P; each free column f gives the null vector with 1 at f and
     -R[i][f] at P[i].  The dual has dimension mn - k'.
     """
     field = code.field
     m, n = code.ambient
-    rows = _flat_basis(code)
+    rows = list(code.basis)
     pivots = eliminate(rows, field, reduced=True)
     dual = []
     for f in sorted(set(range(m * n)).difference(pivots)):
@@ -334,7 +332,7 @@ def sampled_min_rank(
     if code.dimension < 1:
         raise CodeError("zero-dimensional code has no nonzero codeword")
     field, n = code.field, code.diagram.n
-    packed, basis = _kernel_basis(field, n, _flat_basis(code))
+    packed, basis = _kernel_basis(field, n, code.basis)
     if packed:
         return _gf2.min_rank_sampled(basis, n, samples, seed)
     p = field.p
@@ -409,13 +407,14 @@ def generator_subcode(
     gam = diagram.gammas
     if G.nrows > n:
         raise CodeError(f"{G.nrows} generator rows exceed {n} diagram columns")
+    check_ambient(diagram)
     basis = []
     for i, g in enumerate(G.rows):
         for t, top in enumerate(tower.expand(g, gam[i])):
-            rows = [list(row) for row in top] + [[0] * n for _ in range(m - t_l)]
+            flat = [e for row in top for e in row] + [0] * ((m - t_l) * n)
             for h in range(i, r):
-                rows[t_l + sum(gam[i + 1 : h + 1]) + t][n - r + h] = 1
-            basis.append(MatrixF.from_rows(tower.base, rows))
+                flat[(t_l + sum(gam[i + 1 : h + 1]) + t) * n + n - r + h] = 1
+            basis.append(tuple(flat))
     return FdrmCode(tower.base, diagram, tuple(basis), delta, provenance)
 
 
@@ -457,15 +456,12 @@ def mrd_check(
     return _min_rank(code, budget, floor=delta, line=m) >= delta
 
 
-def canonical_basis(code: FdrmCode) -> tuple[MatrixF, ...]:
-    """The code's basis in reduced echelon form of the flattened basis
-    matrix (a deterministic representative of the same span)."""
-    m, n = code.ambient
-    red, pivots = rref(MatrixF.from_rows(code.field, _flat_basis(code)))
-    return tuple(
-        MatrixF.from_rows(code.field, [r[i * n : (i + 1) * n] for i in range(m)])
-        for r in red.rows[: len(pivots)]
-    )
+def canonical_basis(code: FdrmCode) -> tuple[tuple[int, ...], ...]:
+    """The code's basis rows in reduced echelon form (a deterministic
+    representative of the same span)."""
+    rows = list(code.basis)
+    eliminate(rows, code.field, reduced=True)
+    return tuple(map(tuple, rows))
 
 
 # -- certificate serialization --
@@ -499,6 +495,7 @@ def _row_parse(field: GF, text: str, ncols: int) -> tuple[int, ...]:
 def certificate(code: FdrmCode, verified: bool, field_serial: dict | None = None) -> dict:
     """Machine-readable certificate for a code; `verified` says whether its
     claimed distance was checked (`certify` returned "verified")."""
+    n = code.diagram.n
     return {
         "field": field_serial
         or {"p": code.field.p, "s": code.field.degree, "chain": [1],
@@ -514,7 +511,8 @@ def certificate(code: FdrmCode, verified: bool, field_serial: dict | None = None
         "verified": verified,
         "provenance": code.provenance,
         "basis": [
-            [_row_string(code.field, row) for row in b.rows] for b in code.basis
+            [_row_string(code.field, b[i : i + n]) for i in range(0, len(b), n)]
+            for b in code.basis
         ],
     }
 
@@ -565,7 +563,7 @@ def code_from_certificate(data: dict) -> FdrmCode:
     field = gf(p, degree)
     if "modulus" in ef and tuple(json_value(ef, "modulus", list)) != field.modulus:
         raise CodeError("certificate modulus does not match canonical modulus")
-    diagram = FerrersDiagram.parse(json_value(data, "diagram", str))
+    diagram = check_ambient(FerrersDiagram.parse(json_value(data, "diagram", str)))
     provenance = json_value(data, "provenance", dict, {})
     matrices = data.get("basis")
     if type(matrices) is not list or not all(
@@ -579,18 +577,10 @@ def code_from_certificate(data: dict) -> FdrmCode:
     if not matrices:
         raise CodeError("certificate has an empty basis")
     basis = tuple(
-        MatrixF.from_rows(
-            field, [_row_parse(field, r, diagram.n) for r in rows]
-        )
+        tuple(e for r in rows for e in _row_parse(field, r, diagram.n))
         for rows in matrices
     )
-    code = FdrmCode(
-        field=field,
-        diagram=diagram,
-        basis=basis,
-        claimed_delta=json_value(data, "delta", int),
-        provenance=dict(provenance),
-    )
+    code = FdrmCode(field, diagram, basis, json_value(data, "delta", int), dict(provenance))
     if code.dimension != json_value(data, "dimension", int):
         raise CodeError("certificate dimension mismatch")
     return code

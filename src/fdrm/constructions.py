@@ -37,6 +37,7 @@ from .codes import (
     CodeError,
     FdrmCode,
     canonical_basis,
+    check_ambient,
     generator_subcode,
     is_optimal,
     mrd_check,
@@ -44,7 +45,7 @@ from .codes import (
 )
 from .fields import GF, FieldTower, SubfieldMap, build_tower, eliminate, gf
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
-from .linalg import MatrixF, block_compose, rank, systematic_form
+from .linalg import MatrixF, rank, systematic_form
 
 
 # Column samples the prescribed-column search may draw before it gives up.
@@ -369,13 +370,14 @@ def systematic_mrd_with_first_column(
 
 def full_support_code(base: GF, diagram: FerrersDiagram, provenance=None) -> FdrmCode:
     """All matrices supported on the diagram: the trivial distance-1 code."""
+    check_ambient(diagram)
     basis = []
     m, n = diagram.m, diagram.n
     for j in range(n):
         for i in range(diagram.gammas[j]):
-            rows = [[0] * n for _ in range(m)]
-            rows[i][j] = 1
-            basis.append(MatrixF.from_rows(base, rows))
+            flat = [0] * (m * n)
+            flat[i * n + j] = 1
+            basis.append(tuple(flat))
     return FdrmCode(
         field=base,
         diagram=diagram,
@@ -707,19 +709,21 @@ def combine_codes(
         raise ConstructionError(
             f"dimension mismatch: {c1.dimension} != {c2.dimension}"
         )
-    diagram = combine_diagrams(c1.diagram, c2.diagram, m3, n3)
+    diagram = check_ambient(combine_diagrams(c1.diagram, c2.diagram, m3, n3))
     m, n = diagram.m, diagram.n
-    n2 = c2.diagram.n
-    basis = tuple(
-        block_compose(
-            c1.field, (m, n), [(0, 0, x), (m3, n - n2, y)]
-        )
-        for x, y in zip(canonical_basis(c1), canonical_basis(c2))
-    )
+    (m1, n1), (m2, n2) = c1.ambient, c2.ambient
+    basis = []
+    for x, y in zip(canonical_basis(c1), canonical_basis(c2)):
+        flat = [0] * (m * n)
+        for i in range(m1):
+            flat[i * n : i * n + n1] = x[i * n1 : (i + 1) * n1]
+        for i in range(m2):
+            flat[(m3 + i + 1) * n - n2 : (m3 + i + 1) * n] = y[i * n2 : (i + 1) * n2]
+        basis.append(tuple(flat))
     return FdrmCode(
         field=c1.field,
         diagram=diagram,
-        basis=basis,
+        basis=tuple(basis),
         claimed_delta=c1.claimed_delta + c2.claimed_delta,
         provenance={
             "construction": "combine",
@@ -747,26 +751,26 @@ def _lift(code: FdrmCode, m: int | None, matrix: bool) -> FdrmCode:
         raise ConstructionError(f"lift degree {m} does not divide {degree}")
     if m == 1:
         return code
-    smap = SubfieldMap(field, degree // m, tuple(field.alpha_pow(i) for i in range(m)))
     width = m if matrix else 1
-    mm, n = code.ambient
+    gammas = tuple(m * g for g in code.diagram.gammas for _ in range(width))
+    diagram = check_ambient(FerrersDiagram(gammas))
+    smap = SubfieldMap(field, degree // m, tuple(field.alpha_pow(i) for i in range(m)))
+    n, wide = code.diagram.n, diagram.n
     basis = []
     for theta in smap.basis:
         for b in code.basis:
-            rows = [[0] * (width * n) for _ in range(m * mm)]
-            for i, brow in enumerate(b.rows):
-                for j, e in enumerate(brow):
-                    if e:
-                        x = field.mul(theta, e)
-                        for v, a in enumerate(smap.basis[:width]):
-                            for u, c in enumerate(smap.coords(field.mul(x, a))):
-                                rows[i * m + u][j * width + v] = c
-            basis.append(MatrixF.from_rows(smap.sub, rows))
+            flat = [0] * (diagram.m * wide)
+            for cell, e in enumerate(b):
+                if e:
+                    i, j = divmod(cell, n)
+                    x = field.mul(theta, e)
+                    for v, a in enumerate(smap.basis[:width]):
+                        for u, c in enumerate(smap.coords(field.mul(x, a))):
+                            flat[(i * m + u) * wide + j * width + v] = c
+            basis.append(tuple(flat))
     return FdrmCode(
         field=smap.sub,
-        diagram=FerrersDiagram(
-            tuple(m * g for g in code.diagram.gammas for _ in range(width))
-        ),
+        diagram=diagram,
         basis=tuple(basis),
         claimed_delta=width * code.claimed_delta,
         provenance={"construction": "lift_matrix" if matrix else "lift_vector", "m": m,

@@ -1,9 +1,10 @@
-"""Exact matrices over GF(p^n): rank, reduced forms, block assembly.
+"""Exact matrices over GF(p^n): rank and the systematic form.
 
-One generic implementation serves matrices over a base field and over an
-extension field; the field tag on MatrixF decides the arithmetic.  Rank,
-rref and the systematic form run `fields.eliminate`, the package's one
-elimination routine.
+MatrixF is the generator type over a tower's top field: Moore matrices,
+systematic forms and the prescribed-column search.  Codes store their
+basis matrices as flat rows instead (see `codes`).  Rank and the
+systematic form run `fields.eliminate`, the package's one elimination
+routine.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ def rank(M: MatrixF) -> int:
     return len(eliminate([list(r) for r in M.rows], M.field))
 
 
-def rref(M: MatrixF) -> tuple[MatrixF, list[int]]:
-    """Reduced row echelon form and pivot columns (zero rows kept at bottom)."""
-    rows = [list(r) for r in M.rows]
-    pivots = eliminate(rows, M.field, reduced=True)
-    return MatrixF.from_rows(M.field, rows), pivots
-
-
 def systematic_form(G: MatrixF) -> tuple[MatrixF, MatrixF]:
     """(T, S) with S = T*G of shape (I_k | A); the row space is preserved.
 
@@ -105,29 +99,3 @@ def systematic_form(G: MatrixF) -> tuple[MatrixF, MatrixF]:
     f = G.field
     return MatrixF.from_rows(f, [r[n:] for r in aug]), MatrixF.from_rows(f, [r[:n] for r in aug])
 
-
-def block_compose(
-    field: GF,
-    shape: tuple[int, int],
-    placements,
-) -> MatrixF:
-    """Assemble a matrix from (row_offset, col_offset, MatrixF) placements.
-
-    Unoccupied cells are zero-filled; blocks must fit inside `shape` and
-    must not overlap.
-    """
-    nrows, ncols = shape
-    grid = [[0] * ncols for _ in range(nrows)]
-    used = [[False] * ncols for _ in range(nrows)]
-    for r0, c0, blk in placements:
-        if blk.field is not field:
-            raise LinalgError("block field mismatch")
-        if r0 < 0 or c0 < 0 or r0 + blk.nrows > nrows or c0 + blk.ncols > ncols:
-            raise LinalgError("block does not fit: non-conformal sizes")
-        for i in range(blk.nrows):
-            for j in range(blk.ncols):
-                if used[r0 + i][c0 + j]:
-                    raise LinalgError("overlapping blocks")
-                used[r0 + i][c0 + j] = True
-                grid[r0 + i][c0 + j] = blk.rows[i][j]
-    return MatrixF.from_rows(field, grid)

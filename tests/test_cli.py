@@ -281,6 +281,9 @@ def _basis_cert(tmp_path, basis, diagram="[1]", p=2, degree=1):
         lambda tmp: _basis_cert(tmp, [[" 1.+1_0"]], diagram="[1,1]", p=17),
         lambda tmp: _basis_cert(tmp, [["1..0"]], diagram="[1,1]", p=17),
         lambda tmp: _basis_cert(tmp, [["A0"]], diagram="[1,1]", degree=4),
+        lambda tmp: _basis_cert(tmp, [["2"]]),
+        lambda tmp: _basis_cert(tmp, [["f"]], p=3),
+        lambda tmp: _basis_cert(tmp, [["17"]], p=17),
         lambda tmp: _raw(tmp, ["verify"], '[{"diagram": "[1]"}]'),
         lambda tmp: _tampered_cert(tmp, lambda c: c.pop("dimension")),
         lambda tmp: _tampered_cert(tmp, lambda c: c.pop("basis")),
@@ -295,6 +298,7 @@ def _basis_cert(tmp_path, basis, diagram="[1]", p=2, degree=1):
          "cert-verified-string", "cert-basis-strings", "cert-basis-object",
          "cert-basis-integer-row", "cert-basis-mixed", "cert-basis-string-matrix",
          "cert-row-int-syntax", "cert-row-empty-entry", "cert-row-upper-hex",
+         "cert-entry-2-gf2", "cert-entry-f-gf3", "cert-entry-17-gf17",
          "cert-list", "cert-no-dimension", "cert-no-basis", "cert-diagram-huge-int",
          "bound-diagram-huge-int"],
 )
@@ -461,3 +465,49 @@ def test_huge_field_size_is_refused_quickly(tmp_path, capsys, argv, want):
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
     assert code == want and err.startswith("fdrm: ") and err.count("\n") == 1
+
+
+def _lift_over_cap(tmp_path, mode):
+    # One GF(4) matrix on the full 32 x 32 diagram, at the 1024-cell cap;
+    # either lift doubles the row count past it.
+    rows = ["1" + "0" * 31] + ["0" * 32] * 31
+    _, path = _basis_cert(tmp_path, [rows], diagram="[" + ",".join(["32"] * 32) + "]",
+                          degree=2)
+    return ["lift", path, "--mode", mode]
+
+
+def _combine_over_cap(tmp_path):
+    _, path = _tampered_cert(tmp_path, lambda c: None)  # [2,2], delta 2
+    return ["combine", path, path, "--m3", "100000", "--n3", "100000"]
+
+
+def _shortened_argv(diagram, delta):
+    return ["construct", "--construction", "shortened", "-F", diagram, "-d", delta, "-q", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (lambda tmp: _shortened_argv("[2,3,20000]", "2"), 2),
+        (lambda tmp: _shortened_argv("[2,3,200000]", "2"), 2),
+        (lambda tmp: _shortened_argv("[4096]", "1"), 2),
+        (lambda tmp: ["construct", "--construction", "staircase", "--chain", "3",
+                      "-F", "[1,3,3,2000]", "-d", "3", "-r", "1"], 2),
+        (lambda tmp: _request(tmp, {"construction": "shortened", "diagram": "[2,3,200000]",
+                                    "delta": 2, "field": {"q": 2}}), 2),
+        (lambda tmp: _basis_cert(tmp, [["1"]], diagram="[1025]"), 2),
+        (_combine_over_cap, 3),
+        (lambda tmp: _lift_over_cap(tmp, "vector"), 3),
+        (lambda tmp: _lift_over_cap(tmp, "matrix"), 3),
+    ],
+    ids=["shortened-20000", "shortened-200000", "full-4096", "staircase-2000",
+         "request", "verify-1025", "combine-1e5", "lift-vector", "lift-matrix"],
+)
+def test_oversized_ambient_is_refused_quickly(tmp_path, capsys, argv, want):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == want and err.startswith("fdrm: ") and err.count("\n") == 1
+    assert "exceeds 1024 cells" in err

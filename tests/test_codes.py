@@ -10,12 +10,14 @@ import random
 import pytest
 
 from fdrm.codes import (
+    MAX_AMBIENT,
     BudgetExceeded,
     CodeError,
     FdrmCode,
     canonical_basis,
     certificate,
     certify,
+    check_ambient,
     code_from_certificate,
     distance_at_least,
     generator_subcode,
@@ -27,14 +29,14 @@ from fdrm.codes import (
 )
 from fdrm.constructions import full_support_code, moore_matrix
 from fdrm.fields import build_tower, gf
-from fdrm.ferrers import FerrersDiagram, full_diagram, singleton_bound
+from fdrm.ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
 from fdrm.linalg import MatrixF, rank, systematic_form
 
 F2 = gf(2, 1)
 
 
 def make_code(field, diagram, rows_list, delta=1):
-    basis = tuple(MatrixF.from_rows(field, rows) for rows in rows_list)
+    basis = tuple(tuple(e for row in rows for e in row) for rows in rows_list)
     return FdrmCode(
         field=field,
         diagram=diagram,
@@ -97,20 +99,18 @@ def test_fast_path_matches_generic_path():
         expanded = code.basis  # over GF(2) the basis is its own GF(p)-basis
         best = m + n
         msg = [0] * len(expanded)
-        cur = [[0] * n for _ in range(m)]
+        cur = [0] * (m * n)
         for _ in range(2 ** len(expanded) - 1):
             i = 0
             while True:
                 msg[i] += 1
-                cur = [
-                    [a ^ b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(cur, expanded[i].rows)
-                ]
+                cur = [a ^ b for a, b in zip(cur, expanded[i])]
                 if msg[i] < 2:
                     break
                 msg[i] = 0
                 i += 1
-            best = min(best, rank(MatrixF.from_rows(F2, cur)))
+            rows = [cur[r * n : (r + 1) * n] for r in range(m)]
+            best = min(best, rank(MatrixF.from_rows(F2, rows)))
         assert fast == best
 
 
@@ -177,12 +177,32 @@ def test_verify_support_detects_exterior_dot():
     assert not verify_support(bad)
 
 
-def test_verify_support_shape_mismatch():
-    d = FerrersDiagram((1, 2))
-    code = make_code(F2, d, [[[0, 1], [0, 1]]])
-    object.__setattr__(code, "diagram", FerrersDiagram((1, 2, 2)))
+def test_basis_shape_mismatch_rejected_at_build():
+    # a 2 x 2 matrix on a 2 x 3 diagram: the shape is checked when the code is built
     with pytest.raises(CodeError):
-        verify_support(code)
+        make_code(F2, FerrersDiagram((1, 2, 2)), [[[0, 1], [0, 1]]])
+
+
+@pytest.mark.parametrize(
+    "p, s, row",
+    [(2, 1, (0, 1, 1)), (2, 1, (0, 1, 0, 1, 1)), (2, 1, (0, 1, 0, 2)),
+     (3, 1, (0, 3, 0, 1)), (2, 2, (0, 4, 0, 1)), (2, 1, (0, -1, 0, 1)),
+     (2, 1, (0, 1.0, 0, 1))],
+    ids=["mn-1", "mn+1", "gf2-entry-q", "gf3-entry-q", "gf4-entry-q",
+         "entry-negative", "entry-float"],
+)
+def test_malformed_basis_row_rejected_at_build(p, s, row):
+    with pytest.raises(CodeError):
+        FdrmCode(gf(p, s), full_diagram(2, 2), (row,), 1, {})
+
+
+def test_ambient_cap_is_1024_cells():
+    assert MAX_AMBIENT == 1024
+    for gammas in ((1024,), (32,) * 32, (1, 2, 256, 256)):
+        assert check_ambient(FerrersDiagram(gammas)).gammas == gammas
+    for gammas in ((1025,), (1,) * 1024 + (2,), (33,) * 32):
+        with pytest.raises(DiagramError, match="exceeds 1024 cells"):
+            check_ambient(FerrersDiagram(gammas))
 
 
 # -- optimality and MRD --
@@ -284,7 +304,7 @@ def test_certificate_roundtrip():
     back = code_from_certificate(data)
     assert back.dimension == code.dimension
     assert back.diagram.gammas == code.diagram.gammas
-    assert all(a.rows == b.rows for a, b in zip(back.basis, code.basis))
+    assert back.basis == code.basis
 
 
 def test_certificate_roundtrip_f4():
@@ -294,7 +314,7 @@ def test_certificate_roundtrip_f4():
     code = generator_subcode(t, S, FerrersDiagram((2, 2)), 2, {})
     data = certificate(code, False)
     back = code_from_certificate(data)
-    assert all(a.rows == b.rows for a, b in zip(back.basis, code.basis))
+    assert back.basis == code.basis
     assert back.field.order == 4
 
 
@@ -307,14 +327,14 @@ def test_canonical_basis_is_deterministic():
     )
     c2 = canonical_basis(shuffled)
     assert len(c1) == code.dimension
-    assert [a.rows for a in c1] == [b.rows for b in c2]
+    assert c1 == c2
 
 
 def column_valid_lengths(code):
     """Per column, the 1-based index of the lowest nonzero row over the basis."""
     m, n = code.ambient
     return [
-        max((i + 1 for b in code.basis for i in range(m) if b.rows[i][j]), default=0)
+        max((i + 1 for b in code.basis for i in range(m) if b[i * n + j]), default=0)
         for j in range(n)
     ]
 

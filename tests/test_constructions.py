@@ -13,6 +13,7 @@ import fdrm.constructions
 from fdrm.codes import (
     CodeError,
     FdrmCode,
+    canonical_basis,
     certify,
     distance_at_least,
     is_optimal,
@@ -415,7 +416,7 @@ def column_valid_lengths(code):
     """Per column, the 1-based index of the lowest nonzero row over the basis."""
     m, n = code.ambient
     return [
-        max((i + 1 for b in code.basis for i in range(m) if b.rows[i][j]), default=0)
+        max((i + 1 for b in code.basis for i in range(m) if b[i * n + j]), default=0)
         for j in range(n)
     ]
 
@@ -501,7 +502,7 @@ def test_cor28_matches_staircase_and_validates():
     F = FerrersDiagram((4, 4, 6, 6))
     a = construct_staircase(t, F, 3, 0, 2)
     b = construct_staircase_l2(t, F, 3, 0, 2)
-    assert all(x.rows == y.rows for x, y in zip(a.basis, b.basis))
+    assert a.basis == b.basis
     assert b.provenance["s"] == 3
     with pytest.raises(ConstructionError):
         construct_staircase_l2(build_tower(2, 1, (6,)), F, 3, 0, 2)
@@ -550,6 +551,15 @@ def test_combine_random_small_codes():
             tuple(c2full.basis[i] for i in idx), 1, {},
         )
         comb = combine_codes(c1, c2, m3=c1.diagram.m, n3=c2.diagram.n)
+        # c1's canonical rows top-left, c2's bottom-right, zero elsewhere
+        (m1, n1), (m2, n2), (m, n) = c1.ambient, c2.ambient, comb.ambient
+        for x, y, z in zip(canonical_basis(c1), canonical_basis(c2), comb.basis):
+            want = [[0] * n for _ in range(m)]
+            for i in range(m1):
+                want[i][:n1] = x[i * n1 : (i + 1) * n1]
+            for i in range(m2):
+                want[m - m2 + i][n - n2 :] = y[i * n2 : (i + 1) * n2]
+            assert z == tuple(e for row in want for e in row)
         # brute force over all codewords: ranks add across the blocks
         assert min_rank_distance(comb) >= 3
 
@@ -602,7 +612,7 @@ def test_lift_vector_dimension_multiplies():
             ]
             try:
                 code = FdrmCode(F4, d, tuple(
-                    MatrixF.from_rows(F4, rows) for rows in rows_list), 1, {})
+                    tuple(e for row in rows for e in row) for rows in rows_list), 1, {})
                 break
             except CodeError:
                 continue
@@ -626,7 +636,7 @@ def test_lift_matrix_scalar_code():
     F4 = gf(2, 2)
     code = FdrmCode(
         F4, full_diagram(1, 1),
-        (MatrixF.from_rows(F4, [[1]]),), 1, {},
+        ((1,),), 1, {},
     )
     lifted = lift_matrix(code, 2)
     assert lifted.claimed_delta == 2

@@ -52,7 +52,8 @@ def _plain_distribution_gf2(code) -> list[int]:
     m, n = code.ambient
     k = code.dimension
     dtype = np.min_scalar_type((1 << n) - 1)
-    basis = np.array([_gf2.pack_rows(b.rows, n) for b in code.basis], dtype=dtype)
+    basis = np.array([_gf2.pack_rows([b[i : i + n] for i in range(0, m * n, n)], n)
+                      for b in code.basis], dtype=dtype)
     low = min(k, 16)
     table = np.zeros((1, m), dtype=dtype)
     for b in basis[:low]:
@@ -100,7 +101,7 @@ def _plain_distribution_tables(code) -> list[int]:
     m, n = code.ambient
     tables = _field_tables(f)
     add, mul = tables[0], tables[1]
-    basis = np.array([b.rows for b in code.basis])
+    basis = np.array(code.basis).reshape(-1, m, n)
     low = min(code.dimension, 8)
     table = np.zeros((1, m, n), dtype=np.int64)
     for b in basis[:low]:
@@ -227,6 +228,11 @@ def test_mrd_check_instances_match_plain_walk(monkeypatch, scenario, want):
 # -- random codes --
 
 
+def _random_flat(rng, f, m, n):
+    """A random m x n matrix over f, drawn row by row and stored flat."""
+    return tuple(rng.randrange(f.order) for _ in range(m * n))
+
+
 def _random_generator_code(rng, tower, k, n):
     while True:
         G = MatrixF.from_rows(
@@ -264,11 +270,7 @@ def test_random_general_codes_match_plain_walk(p, s):
     while done < 8:
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         k = rng.randint(1, max_dim)
-        basis = tuple(
-            MatrixF.from_rows(f, [[rng.randrange(f.order) for _ in range(n)]
-                                  for _ in range(m)])
-            for _ in range(k)
-        )
+        basis = tuple(_random_flat(rng, f, m, n) for _ in range(k))
         try:
             code = FdrmCode(f, full_diagram(m, n), basis, 1, {})
         except CodeError:
@@ -282,11 +284,7 @@ def test_random_general_codes_match_plain_walk(p, s):
 
 def _random_full_code(rng, f, m, n, k):
     while True:
-        basis = tuple(
-            MatrixF.from_rows(f, [[rng.randrange(f.order) for _ in range(n)]
-                                  for _ in range(m)])
-            for _ in range(k)
-        )
+        basis = tuple(_random_flat(rng, f, m, n) for _ in range(k))
         try:
             return FdrmCode(f, full_diagram(m, n), basis, 1, {})
         except CodeError:
@@ -296,7 +294,8 @@ def _random_full_code(rng, f, m, n, k):
 def _transpose(code):
     m, n = code.ambient
     return FdrmCode(code.field, full_diagram(n, m),
-                    tuple(b.transpose() for b in code.basis), 1, {})
+                    tuple(tuple(b[i * n + j] for j in range(n) for i in range(m))
+                          for b in code.basis), 1, {})
 
 
 @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -336,9 +335,9 @@ def test_corrupted_entry_gets_the_same_verdict_on_both_routes(p, s, gammas, delt
     for i, j in itertools.product(range(m), range(n)):
         if not code.diagram.dot(i, j):
             continue
-        rows = [list(r) for r in code.basis[0].rows]
-        rows[i][j] = code.field.add(rows[i][j], 1)
-        basis = (MatrixF.from_rows(code.field, rows),) + code.basis[1:]
+        flat = list(code.basis[0])
+        flat[i * n + j] = code.field.add(flat[i * n + j], 1)
+        basis = (tuple(flat),) + code.basis[1:]
         try:
             bad = FdrmCode(code.field, code.diagram, basis, delta, {})
         except CodeError:

@@ -6,13 +6,11 @@ import random
 import pytest
 
 from fdrm.ferrers import FerrersDiagram
-from fdrm.fields import build_tower, gf
+from fdrm.fields import build_tower, eliminate, gf
 from fdrm.linalg import (
     LinalgError,
     MatrixF,
-    block_compose,
     rank,
-    rref,
     systematic_form,
 )
 
@@ -106,51 +104,13 @@ def test_valid_length():
             assert fits == (valid_length(vec) <= g)
 
 
-def test_block_compose_single_block_identity():
-    rng = random.Random(0)
-    M = random_matrix(F2, 3, 4, rng)
-    out = block_compose(F2, (3, 4), [(0, 0, M)])
-    assert out.rows == M.rows
-
-
-def test_block_compose_diagonal_rank_additivity():
-    rng = random.Random(1)
-    for _ in range(20):
-        A = random_matrix(F2, rng.randint(1, 4), rng.randint(1, 4), rng)
-        B = random_matrix(F2, rng.randint(1, 4), rng.randint(1, 4), rng)
-        out = block_compose(
-            F2,
-            (A.nrows + B.nrows, A.ncols + B.ncols),
-            [(0, 0, A), (A.nrows, A.ncols, B)],
-        )
-        assert rank(out) == rank(A) + rank(B)
-
-
-def test_block_compose_staircase_layout_sizes():
-    # top coordinate block over shifted message block over zero fill
-    t_l, n, r = 6, 4, 1
-    gamma0 = 2
-    m = t_l + gamma0 + 1
-    top = zeros(F2, t_l, n)
-    mid = zeros(F2, gamma0, r)
-    out = block_compose(F2, (m, n), [(0, 0, top), (t_l, n - r, mid)])
-    assert out.shape == (m, n)
-
-
-def test_block_compose_errors():
-    M = identity(F2, 2)
-    with pytest.raises(LinalgError):
-        block_compose(F2, (2, 2), [(0, 1, M)])  # overflows
-    with pytest.raises(LinalgError):
-        block_compose(F2, (3, 3), [(0, 0, M), (1, 1, M)])  # overlap
-
-
 def test_rref_is_canonical():
     rng = random.Random(4)
     for _ in range(20):
         M = random_matrix(F2, 3, 5, rng)
         T = random_invertible(F2, 3, rng)
-        R1, p1 = rref(M)
-        R2, p2 = rref(T.mul(M))
+        R1, R2 = [list(r) for r in M.rows], [list(r) for r in T.mul(M).rows]
+        p1 = eliminate(R1, F2, reduced=True)
+        p2 = eliminate(R2, F2, reduced=True)
         assert p1 == p2
-        assert R1.rows == R2.rows
+        assert R1 == R2
