@@ -112,12 +112,27 @@ def _load_cert(path: str, kind: str) -> dict:
         raise _Exit(EXIT_PARSE, f"{kind} {path}: {e}")
 
 
-def _rebuild(path: str):
-    data = _load_cert(path, "certificate")
+def _rebuild(path: str, data: dict | None = None):
+    data = _load_cert(path, "certificate") if data is None else data
     try:
         return code_from_certificate(data)
     except (CodeError, DiagramError, FieldError) as e:
         raise _Exit(EXIT_PARSE, f"certificate {path}: {e}")
+
+
+def _tower_record(data: dict, code) -> dict | None:
+    """The certificate's `field` block if it reads as `certificate` writes
+    one for `code` (`p`, `s` the entry field's; `chain`, `modulus` lists of
+    int), else None: an informational block is not an error, just not kept."""
+    try:
+        fld = json_value(data, "field", dict)
+        record = {key: json_value(fld, key, kind) for key, kind in
+                  (("p", int), ("s", int), ("chain", list), ("modulus", list))}
+    except CodeError:
+        return None
+    if (record["p"], record["s"]) != (code.field.p, code.field.degree):
+        return None
+    return record
 
 
 def _cmd_bound(args) -> int:
@@ -207,7 +222,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code, status = certify(_rebuild(args.cert), args.budget)
+    data = _load_cert(args.cert, "certificate")
+    code, status = certify(_rebuild(args.cert, data), args.budget)
     if status != "verified":
         print(f"{code.describe()}: {status}", file=sys.stderr)
         return EXIT_UNVERIFIED
@@ -217,7 +233,8 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        _write_json(certificate(code, status == "verified"), args.json)
+        record = _tower_record(data, code)
+        _write_json(certificate(code, status == "verified", field_serial=record), args.json)
     return EXIT_OK
 
 

@@ -319,7 +319,13 @@ def min_rank_distance(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def distance_at_least(code: FdrmCode, delta: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exhaustive check that every nonzero codeword has rank >= delta."""
+    """Exhaustive check that every nonzero codeword has rank >= delta.
+
+    delta <= 1 needs no walk, whatever the budget: every nonzero matrix has
+    rank >= 1, and the basis was checked independent when the code was built.
+    """
+    if delta <= 1 and code.dimension:
+        return True
     return _min_rank(code, budget, floor=delta) >= delta
 
 

@@ -43,7 +43,7 @@ from .codes import (
     mrd_check,
     verify_support,
 )
-from .fields import GF, FieldTower, SubfieldMap, build_tower, eliminate, gf
+from .fields import GF, FieldTower, build_tower, eliminate, gf
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
 from .linalg import MatrixF, rank, systematic_form
 
@@ -736,14 +736,13 @@ def combine_codes(
 
 
 def _lift(code: FdrmCode, m: int | None, matrix: bool) -> FdrmCode:
-    """Shared body of `lift_vector` and `lift_matrix`.
-
-    Each entry e becomes an m x width block over the degree-(N/m) subfield:
-    the multiplication-by-e matrix in the basis (1, alpha, ..., alpha^{m-1})
-    when `matrix` (width m), else its column 0, the coordinates of e itself
-    because the basis starts with 1 (width 1).  Basis matrix b contributes
-    the lifts of alpha^t b for t < m.
-    """
+    """Shared body of `lift_vector` and `lift_matrix`, read off psi on the
+    one-level tower of the entry field over its degree-(N/m) subfield, whose
+    betas are the power basis (1, alpha, ..., alpha^{m-1}).  Basis matrix b
+    gives the lifts of theta b for each beta theta; a nonzero entry x of
+    theta b becomes the m x width block psi(x beta_v for v < width): the
+    multiplication-by-x matrix when `matrix` (width m), else its column 0,
+    the coordinates of x itself as beta_1 = 1 (width 1)."""
     field = code.field
     degree = field.degree
     m = degree if m is None else m
@@ -754,22 +753,22 @@ def _lift(code: FdrmCode, m: int | None, matrix: bool) -> FdrmCode:
     width = m if matrix else 1
     gammas = tuple(m * g for g in code.diagram.gammas for _ in range(width))
     diagram = check_ambient(FerrersDiagram(gammas))
-    smap = SubfieldMap(field, degree // m, tuple(field.alpha_pow(i) for i in range(m)))
+    tower = build_tower(field.p, degree // m, (m,))
     n, wide = code.diagram.n, diagram.n
     basis = []
-    for theta in smap.basis:
+    for theta in tower.betas:
         for b in code.basis:
             flat = [0] * (diagram.m * wide)
             for cell, e in enumerate(b):
                 if e:
                     i, j = divmod(cell, n)
                     x = field.mul(theta, e)
-                    for v, a in enumerate(smap.basis[:width]):
-                        for u, c in enumerate(smap.coords(field.mul(x, a))):
+                    for v, a in enumerate(tower.betas[:width]):  # block column v
+                        for u, c in enumerate(tower.beta_coords(field.mul(x, a))):
                             flat[(i * m + u) * wide + j * width + v] = c
             basis.append(tuple(flat))
     return FdrmCode(
-        field=smap.sub,
+        field=tower.base,
         diagram=diagram,
         basis=tuple(basis),
         claimed_delta=width * code.claimed_delta,

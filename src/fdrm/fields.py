@@ -12,9 +12,10 @@ q = p^s and consecutive divisibility t_{x-1} | t_x.  It carries, per level,
 an ordered basis (alpha_{x,0}=1, alpha_{x,1}, ...) over the previous level,
 and the derived ordered basis (beta_1=1, beta_2, ..., beta_{t_l}) of the
 top field over F_q obtained by multiplying lower-level basis elements
-through the chain.  The coordinate maps between length-n vectors over the
-top field and t_l x n matrices over F_q are taken with respect to the
-betas.
+through the chain.  The tower is the module's one coordinate map: psi, from
+length-n vectors over the top field to t_l x n matrices over F_q, is taken
+with respect to the betas, and the matrix representation pi and both lifts
+read psi of products.
 """
 
 from __future__ import annotations
@@ -310,14 +311,6 @@ class GF:
         )
         return _undigits(prod, self.p)
 
-    def smul(self, c: int, a: int) -> int:
-        """Scalar multiple by c in GF(p)."""
-        if c == 0 or a == 0:
-            return 0
-        if c == 1:
-            return a
-        return self.mul(c, a)
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
@@ -411,7 +404,8 @@ def eliminate(rows: list[list[int]], field: GF, reduced: bool = False) -> list[i
 def _canonical_root(p: int, n: int, e: int) -> int:
     """Element of GF(p^e) inside GF(p^n) satisfying the canonical GF(p^e) modulus.
 
-    Searched once per (p, n, e): a tower's beta and power-basis maps share it.
+    Searched once per (p, n, e): every tower over GF(p^e) with top field
+    GF(p^n) shares it, among them the one-level tower `pi_expand` reads.
     """
     field, sub = gf(p, n), gf(p, e)
     if e == 1:
@@ -427,78 +421,20 @@ def _canonical_root(p: int, n: int, e: int) -> int:
     raise FieldError("internal: no root of canonical modulus in subfield")
 
 
-class SubfieldMap:
-    """Coordinates of GF(p^N) over canonical GF(p^e) w.r.t. a fixed basis.
+def _subfield_basis(field: GF, sub_deg: int) -> list[int]:
+    """GF(p)-basis g^0, ..., g^{sub_deg-1} of the degree-sub_deg subfield,
+    g = alpha^((p^n - 1)/(p^sub_deg - 1)) its primitive element."""
+    g = field.alpha_pow((field.order - 1) // (field.p**sub_deg - 1))
+    return [field.pow_(g, j) for j in range(sub_deg)]
 
-    `basis` must hold N/e elements of `field` that are linearly independent
-    over the degree-e subfield.  Coordinates come out as elements of the
-    canonical GF(p^e); internally the subfield is identified with the
-    canonical field through a root of the canonical modulus.
-    """
 
-    def __init__(self, field: GF, sub_degree: int, basis: tuple[int, ...]):
-        if field.degree % sub_degree:
-            raise FieldError(
-                f"degree {sub_degree} does not divide {field.degree}"
-            )
-        self.field = field
-        self.sub = gf(field.p, sub_degree)
-        self.dim = field.degree // sub_degree
-        if len(basis) != self.dim:
-            raise FieldError(f"need {self.dim} basis elements, got {len(basis)}")
-        self.basis = tuple(basis)
-        p, e = field.p, sub_degree
-        self._root = _canonical_root(p, field.degree, e)
-        root_pows = [field.pow_(self._root, j) for j in range(e)]
-        expanded = []
-        for b in basis:
-            for rp in root_pows:
-                expanded.append(list(field.coeffs(field.mul(b, rp))))
-        # Columns of M are the GF(p)-coordinates of beta_i * root^j.
-        n = field.degree
-        aug = [
-            [expanded[k][i] for k in range(n)] + [int(i == j) for j in range(n)]
-            for i in range(n)
-        ]
-        if eliminate(aug, gf(p, 1), reduced=True) != list(range(n)):
-            raise FieldError("coordinate basis matrix is singular")
-        self._minv = [r[n:] for r in aug]
-        self._root_pows = root_pows
-
-    def to_subfield(self, a: int) -> int:
-        """Embed a canonical GF(p^e) element into `field`."""
-        out = 0
-        for d, rp in zip(self.sub.coeffs(a), self._root_pows):
-            out = self.field.add(out, self.field.smul(d, rp))
-        return out
-
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Coordinates of a in `basis`, as canonical GF(p^e) elements."""
-        p = self.field.p
-        av = self.field.coeffs(a)
-        e = self.sub.degree
-        out = []
-        for i in range(self.dim):
-            ds = []
-            for j in range(e):
-                row = self._minv[i * e + j]
-                ds.append(sum(r * v for r, v in zip(row, av)) % p)
-            out.append(self.sub.from_coeffs(ds))
-        return tuple(out)
-
-    def lift(self, coord_vec) -> int:
-        """Inverse of coords: sum coord_i * basis_i back in `field`."""
-        out = 0
-        for c, b in zip(coord_vec, self.basis):
-            out = self.field.add(out, self.field.mul(self.to_subfield(c), b))
-        return out
-
-    def mult_matrix(self, a: int) -> tuple[tuple[int, ...], ...]:
-        """Matrix of multiplication by a in `basis`, over canonical GF(p^e)."""
-        cols = [self.coords(self.field.mul(a, b)) for b in self.basis]
-        return tuple(
-            tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)
-        )
+def _extend_independent(field: GF, echelon: list, elems, sub_basis) -> list | None:
+    """`echelon` and the GF(p) digits of e * b, for e in `elems` and b in
+    `sub_basis`, row-reduced; None if these rows are dependent, that is, if
+    `elems` are dependent modulo `echelon`'s span over the subfield that
+    `sub_basis` spans over GF(p)."""
+    rows = echelon + [list(field.coeffs(field.mul(e, b))) for e in elems for b in sub_basis]
+    return rows if len(eliminate(rows, gf(field.p, 1))) == len(rows) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,8 +448,10 @@ class FieldTower:
     base: GF
     alphas: tuple[tuple[int, ...], ...]
     betas: tuple[int, ...]
-    _beta_map: SubfieldMap
-    _power_map: SubfieldMap
+    # r^0, ..., r^{s-1}, r the canonical root of F_q's modulus in the top field
+    _root_pows: tuple[int, ...]
+    # inverse of the GF(p) matrix whose columns are the digits of beta_i * r^j
+    _coord_inv: tuple[tuple[int, ...], ...]
 
     @property
     def q(self) -> int:
@@ -557,14 +495,24 @@ class FieldTower:
 
     def beta_coords(self, a: int) -> tuple[int, ...]:
         """Coordinates of a in the beta basis, over canonical F_q."""
-        return self._beta_map.coords(a)
+        av, s = self.field.coeffs(a), self.s
+        digits = [sum(r * v for r, v in zip(row, av)) for row in self._coord_inv]
+        # tuple of a list: tuple(genexpr) leaves a GC-counted object per call
+        return tuple([self.base.from_coeffs(digits[i : i + s]) for i in range(0, len(digits), s)])
 
     def from_beta_coords(self, coords) -> int:
-        return self._beta_map.lift(coords)
+        """Inverse of beta_coords: sum coords_i * beta_i in the top field."""
+        out = 0
+        for c, b in zip(coords, self.betas):
+            out = self.field.add(out, self.field.mul(self.base_embed(c), b))
+        return out
 
     def base_embed(self, c: int) -> int:
         """Embed a canonical F_q element into the top field."""
-        return self._beta_map.to_subfield(c)
+        out = 0
+        for d, rp in zip(self.base.coeffs(c), self._root_pows):
+            out = self.field.add(out, self.field.mul(d, rp))
+        return out
 
     def psi(self, vec) -> tuple[tuple[int, ...], ...]:
         """Row tuples of the t_l x n coordinate matrix of `vec` over F_q.
@@ -602,13 +550,17 @@ class FieldTower:
     def pi_expand(self, a: int) -> tuple[tuple[int, ...], ...]:
         """Multiplication-by-a matrix in the power basis, over canonical F_q.
 
+        Column j is psi(a * alpha^j) on the one-level tower over F_q (this
+        tower, if it has one level), whose greedy betas are the power basis
+        1, alpha, ..., alpha^{t_l - 1} because alpha has degree t_l over F_q.
         A field isomorphism onto its image: additive, multiplicative, and
         sending 1 to the identity matrix.  Requires the (always primitive)
         canonical modulus, so the image of the top-field generator is the
         companion matrix of its minimal polynomial over F_q.
         """
         self.field.check(a)
-        return self._power_map.mult_matrix(a)
+        power = build_tower(self.p, self.s, (self.top_degree,))
+        return power.psi([self.field.mul(a, b) for b in power.betas])
 
     def independent_over_level(self, elems, x: int) -> bool:
         """True iff `elems` are linearly independent over F_{q^{t_x}}.
@@ -620,14 +572,8 @@ class FieldTower:
         sub_deg = self.s * self.level_degree(x)
         if self.field.degree % sub_deg:
             raise FieldError("level field does not embed in the top field")
-        step = (self.field.order - 1) // (self.p**sub_deg - 1)
-        g = self.field.alpha_pow(step)
-        sub_basis = [self.field.pow_(g, j) for j in range(sub_deg)]
-        rows = []
-        for e in elems:
-            for b in sub_basis:
-                rows.append(list(self.field.coeffs(self.field.mul(e, b))))
-        return len(eliminate(rows, gf(self.p, 1))) == len(rows)
+        sub_basis = _subfield_basis(self.field, sub_deg)
+        return _extend_independent(self.field, [], elems, sub_basis) is not None
 
     def serialize(self) -> dict:
         return {
@@ -646,46 +592,32 @@ def _greedy_level_basis(field: GF, p: int, s: int, t_prev: int, t_cur: int) -> t
     F_{q^{t_prev}}.
     """
     count = t_cur // t_prev
-    sub_deg = s * t_prev
-    cur_deg = s * t_cur
-    step = (field.order - 1) // (p**cur_deg - 1)
-    lower_step = (field.order - 1) // (p**sub_deg - 1)
-    g = field.alpha_pow(lower_step)
-    lower_basis = [field.pow_(g, j) for j in range(sub_deg)]
-
-    fp = gf(p, 1)
+    step = (field.order - 1) // (p ** (s * t_cur) - 1)
+    # Computed once per call: every candidate's test reuses it.
+    lower_basis = _subfield_basis(field, s * t_prev)
     chosen = [1]
-    echelon = [list(field.coeffs(b)) for b in lower_basis]
-    del echelon[len(eliminate(echelon, fp)) :]
-
-    def try_insert(elem: int) -> bool:
-        trial = echelon + [list(field.coeffs(field.mul(elem, b))) for b in lower_basis]
-        if len(eliminate(trial, fp)) == len(trial):
-            echelon[:] = trial
-            return True
-        return False
-
+    echelon = _extend_independent(field, [], chosen, lower_basis)
     j = step
     while len(chosen) < count:
         if j >= field.order - 1:
             raise FieldError("internal: ran out of powers building level basis")
         cand = field.alpha_pow(j)
-        if try_insert(cand):
+        trial = _extend_independent(field, echelon, [cand], lower_basis)
+        if trial is not None:
+            echelon = trial
             chosen.append(cand)
         j += step
     return tuple(chosen)
 
 
 @functools.lru_cache(maxsize=None)
-def build_tower(
-    p: int, s: int, chain: tuple[int, ...], max_degree: int = DEFAULT_MAX_DEGREE
-) -> FieldTower:
+def build_tower(p: int, s: int, chain: tuple[int, ...]) -> FieldTower:
     """Build the tower F_q < F_{q^{t_1}} < ... < F_{q^{t_l}}, q = p**s.
 
     `chain` is (t_1, ..., t_l); t_0 = 1 is implied.  Each t_{x-1} must
     divide t_x.  Deterministic for fixed inputs: canonical modulus, greedy
     canonical level bases.  The top field's degree and order are checked
-    against `max_degree` before p is tested for primality.
+    against DEFAULT_MAX_DEGREE before p is tested for primality.
     """
     if s < 1:
         raise FieldError("base exponent s must be >= 1")
@@ -702,35 +634,24 @@ def build_tower(
     if len(set(chain)) != len(chain):
         raise FieldError(f"chain {chain} must be strictly increasing")
     n = s * chain[-1]
-    if n > max_degree:
+    if n > DEFAULT_MAX_DEGREE:
         raise FieldError(
-            f"top field degree {n} exceeds enumeration budget {max_degree}"
+            f"top field degree {n} exceeds enumeration budget {DEFAULT_MAX_DEGREE}"
         )
-    if p**n > 1 << max_degree:
-        raise FieldError(f"top field GF({p}^{n}) exceeds order 2^{max_degree}")
+    if p**n > 1 << DEFAULT_MAX_DEGREE:
+        raise FieldError(f"top field GF({p}^{n}) exceeds order 2^{DEFAULT_MAX_DEGREE}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
 
     field = gf(p, n)
     base = gf(p, s)
 
-    alphas = []
-    prev = 1
-    for t in chain:
-        alphas.append(_greedy_level_basis(field, p, s, prev, t))
-        prev = t
-
-    t_l = chain[-1]
-    betas = [0] * t_l
-    t_1 = chain[0]
-    for z in range(1, t_1 + 1):
-        betas[z - 1] = alphas[0][z - 1]
-    for x in range(2, len(chain) + 1):
-        t_prev = chain[x - 2]
-        s_x = chain[x - 1] // t_prev
-        for y in range(1, s_x):
-            for z in range(1, t_prev + 1):
-                betas[y * t_prev + z - 1] = field.mul(betas[z - 1], alphas[x - 1][y])
+    alphas = [_greedy_level_basis(field, p, s, lo, hi) for lo, hi in zip((1,) + chain, chain)]
+    # beta_{y*t_{x-1} + z} = beta_z * alpha_{x,y}: each level's basis times
+    # the betas below it, lower index fastest.
+    betas = [1]
+    for level in alphas:
+        betas = [field.mul(b, a) for a in level for b in betas]
     betas = tuple(betas)
 
     if betas[0] != 1:
@@ -741,10 +662,13 @@ def build_tower(
             if not field.in_subfield(a, deg):
                 raise FieldError("internal: level basis element escapes its level")
 
-    beta_map = SubfieldMap(field, s, betas)
-    power_map = SubfieldMap(
-        field, s, tuple(field.alpha_pow(i) for i in range(t_l))
-    )
+    root = _canonical_root(p, n, s)
+    root_pows = tuple(field.pow_(root, j) for j in range(s))
+    # Columns of the matrix are the GF(p) digits of beta_i * root^j.
+    digits = [field.coeffs(field.mul(b, rp)) for b in betas for rp in root_pows]
+    aug = [[col[i] for col in digits] + [int(i == j) for j in range(n)] for i in range(n)]
+    if eliminate(aug, gf(p, 1), reduced=True) != list(range(n)):
+        raise FieldError("coordinate basis matrix is singular")
 
     return FieldTower(
         p=p,
@@ -754,6 +678,6 @@ def build_tower(
         base=base,
         alphas=tuple(alphas),
         betas=betas,
-        _beta_map=beta_map,
-        _power_map=power_map,
+        _root_pows=root_pows,
+        _coord_inv=tuple(tuple(r[n:]) for r in aug),
     )

@@ -30,7 +30,7 @@ from fdrm.constructions import (
     tower_for_prescribed,
     tower_for_shortened,
 )
-from fdrm.fields import SubfieldMap, build_tower, gf
+from fdrm.fields import build_tower, gf
 from fdrm.ferrers import FerrersDiagram, singleton_bound
 from fdrm.linalg import MatrixF, rank
 
@@ -156,7 +156,7 @@ def test_criterion_8_lifts():
 
     # multiplication-matrix expansion at least doubles ranks (50 samples)
     F4, F2f = gf(2, 2), gf(2, 1)
-    smap = SubfieldMap(F4, 1, (1, F4.alpha))
+    t4 = build_tower(2, 1, (2,))  # GF(2) < GF(4), power basis (1, alpha)
     rng = random.Random(7)
     for _ in range(50):
         s_, t_ = rng.randint(1, 4), rng.randint(1, 4)
@@ -167,7 +167,7 @@ def test_criterion_8_lifts():
         big = [[0] * (2 * t_) for _ in range(2 * s_)]
         for i in range(s_):
             for j in range(t_):
-                blk = smap.mult_matrix(A.entry(i, j))
+                blk = t4.pi_expand(A.entry(i, j))
                 for u in range(2):
                     for v in range(2):
                         big[2 * i + u][2 * j + v] = blk[u][v]

@@ -199,6 +199,49 @@ def test_construct_from_request_file(tmp_path, capsys):
     assert main(["construct", "-F", "[2,2]", "-d", "2"]) == 2  # no construction
 
 
+@pytest.mark.parametrize("construct", [
+    ["--construction", "shortened", "-F", "[2,3,3]", "-d", "3", "-q", "4"],
+    ["--request", "req.json"],
+], ids=["readme-c1", "request-staircase"])
+def test_verify_json_rewrites_the_certificate_byte_for_byte(
+    tmp_path, capsys, monkeypatch, construct
+):
+    # verify --json keeps the tower the code came from (its `field` block).
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "req.json").write_text(json.dumps({
+        "construction": "staircase", "field": {"p": 2, "s": 1}, "chain": [2, 6],
+        "diagram": "[4,4,6,6]", "delta": 3, "r": 0, "w": 2, "seed": 0,
+    }))
+    assert main(["construct", *construct, "--json", "c.json"]) == 0
+    assert main(["verify", "c.json", "--json", "out.json"]) == 0
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+
+
+@pytest.mark.parametrize("field", [
+    None, "tower", {"p": 2, "s": 2, "chain": "3", "modulus": [1, 1]},
+    {"p": 3, "s": 2, "chain": [3], "modulus": [1, 1]},
+])
+def test_verify_json_writes_the_default_field_block_for_a_bad_one(tmp_path, capsys, field):
+    c1, out = tmp_path / "c1.json", tmp_path / "out.json"
+    assert main(["construct", "--construction", "shortened", "-F", "[2,3,3]", "-d", "3",
+                 "-q", "4", "--json", str(c1)]) == 0
+    cert = json.loads(c1.read_text())
+    if field is None:
+        del cert["field"]
+    else:
+        cert["field"] = field
+    assert main(["verify", _write(c1, cert), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["field"] == {
+        "p": 2, "s": 2, "chain": [1], "modulus": [1, 1, 1]}
+
+
+def test_distance_one_claim_past_the_budget_is_verified(capsys):
+    # 2^1024 codewords, but every nonzero matrix has rank >= 1.
+    code, _, err = run(capsys, "construct", "--construction", "shortened",
+                       "-F", "[1024]", "-d", "1", "-q", "2")
+    assert code == 0 and err.strip().endswith("verified")
+
+
 def _write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)

@@ -290,6 +290,18 @@ def test_certify_budget_exceeded_is_unverified():
     assert certificate(code, status == "verified")["verified"] is False
 
 
+def test_certify_full_support_code_past_the_budget_is_verified():
+    # delta = 1 needs no walk: 2^9 codewords against a budget of 8.
+    code = full_support_code(F2, full_diagram(3, 3))
+    assert code.claimed_delta == 1 and code.dimension == 9
+    assert certify(code, budget=8) == (code, "verified")
+    empty = FdrmCode(F2, full_diagram(2, 2), (), 1, {})
+    with pytest.raises(CodeError):
+        certify(empty)
+    with pytest.raises(BudgetExceeded):
+        min_rank_distance(code, budget=8)
+
+
 def test_certify_rejects_false_claims():
     d = full_diagram(2, 2)
     code = make_code(F2, d, [[[1, 0], [0, 0]]], delta=2)

@@ -5,6 +5,8 @@ rank additivity over block arrangements, and the kernel-witness MRD test
 as an independent route against exhaustive enumeration.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from fdrm.codes import (
     CodeError,
     FdrmCode,
     canonical_basis,
+    certificate,
     certify,
     distance_at_least,
     is_optimal,
@@ -582,6 +585,32 @@ def reference_combined_code_over_f4():
     return combine_codes(c1, c2, 3, 1)
 
 
+# SHA-256 of the certificate bytes of each lift of the shortened [[1,3,3],
+# ., 2] code over GF(p^s), as `fdrm` writes them: a change to a lift's
+# coordinates, block layout or basis order shows here.
+LIFT_PINS = [  # (p, s, m, lift_vector sha256, lift_matrix sha256)
+    (2, 4, 2, "ab3a65df6179ef89806a6b4e029a578b1fce33fe3b85d0099ccbb723da0dd9fb",
+     "8936dffa723bdfeb665d7b58ae8f1a6b56235c835710b64d9de602f8cfa3196f"),
+    (2, 4, 4, "4199874ff302a73485d151147005fdc8860427bdfd70e9f3b1fbf22a3a19aa48",
+     "ca175755880b71172505265a60de31d83d0ea13c4da33c7ae5938ada2af2d16e"),
+    (3, 2, 2, "28375da79bcae0aef15534708138eced1a9e606c7cd322b04da89a6ed7f1ec6a",
+     "4c7fe81790853a516834413ce015539044ac3c654293f5438f53cf3aa94073eb"),
+    (2, 6, 2, "96da0782f78603e87a5c87bc16adf1875252af917c29afb6e3c6bd1d8ec4384d",
+     "dc8761d9cfb513fc2942ef2ce14acd1d8dd346a202c11ae23d490b1b0a59cde2"),
+]
+
+
+@pytest.mark.parametrize("p,s,m,vector_sha,matrix_sha", LIFT_PINS,
+                         ids=[f"GF{p}^{s}-m{m}" for p, s, m, *_ in LIFT_PINS])
+def test_lift_certificates_are_pinned(p, s, m, vector_sha, matrix_sha):
+    F = FerrersDiagram((1, 3, 3))
+    code = construct_shortened(tower_for_shortened(p, s, F, 2), F, 2)
+    for lift, sha in ((lift_vector, vector_sha), (lift_matrix, matrix_sha)):
+        blob = json.dumps(certificate(lift(code, m), False), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha, lift.__name__
+
+
 def test_lift_vector_identity_when_m_is_1():
     F = FerrersDiagram((2, 2))
     code = construct_shortened(tower_for_shortened(2, 1, F, 2), F, 2)
@@ -647,8 +676,7 @@ def test_lift_matrix_rank_inequality():
     # blocks of multiplication matrices at least double the rank
     rng = random.Random(7)
     F4 = gf(2, 2)
-    from fdrm.fields import SubfieldMap
-    smap = SubfieldMap(F4, 1, (1, F4.alpha))
+    t4 = build_tower(2, 1, (2,))  # GF(2) < GF(4), power basis (1, alpha)
     for _ in range(50):
         s_, t_ = rng.randint(1, 4), rng.randint(1, 4)
         A = MatrixF.from_rows(
@@ -658,7 +686,7 @@ def test_lift_matrix_rank_inequality():
         big = [[0] * (2 * t_) for _ in range(2 * s_)]
         for i in range(s_):
             for j in range(t_):
-                blk = smap.mult_matrix(A.entry(i, j))
+                blk = t4.pi_expand(A.entry(i, j))
                 for u in range(2):
                     for v in range(2):
                         big[2 * i + u][2 * j + v] = blk[u][v]

@@ -14,7 +14,6 @@ import pytest
 
 from fdrm.fields import (
     FieldError,
-    SubfieldMap,
     _canonical_root,
     build_tower,
     gf,
@@ -49,7 +48,7 @@ def solve_coords_oracle(field, basis_elems, target, p):
     for i in range(n):  # consistency of the solve
         acc = 0
         for j in range(len(basis_elems)):
-            acc = field.add(acc, field.smul(sol[j], basis_elems[j]))
+            acc = field.add(acc, field.mul(sol[j], basis_elems[j]))
     return tuple(sol)
 
 
@@ -316,7 +315,7 @@ def test_psi_linearity_against_solve_oracle():
             b = rng.randrange(t.field.order)
             for x in range(p):
                 for y in range(p):
-                    v = t.field.add(t.field.smul(x, a), t.field.smul(y, b))
+                    v = t.field.add(t.field.mul(x, a), t.field.mul(y, b))
                     got = tuple(rows[0] for rows in t.psi((v,)))
                     want = solve_coords_oracle(t.field, t.betas, v, p)
                     assert got == want
@@ -378,7 +377,21 @@ def test_pi_alpha_squared():
     assert Pa2 == _mat_mul_gfp(t.base, Pa, Pa)
 
 
-@pytest.mark.parametrize("p,chain", [(2, (3,)), (3, (2,))])
+def test_pi_on_a_two_level_tower_is_the_companion_matrix():
+    # pi reads the power basis whatever the tower's betas are: on
+    # GF(2) < GF(4) < GF(16), x^4 + x^3 + 1 gives alpha^4 = 1 + alpha^3.
+    t = build_tower(2, 1, (2, 4))
+    assert t.field.modulus == (1, 0, 0, 1, 1)
+    assert t.betas != tuple(t.field.alpha_pow(j) for j in range(4))
+    assert t.pi_expand(t.field.alpha) == (
+        (0, 0, 0, 1),
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 1),
+    )
+
+
+@pytest.mark.parametrize("p,chain", [(2, (3,)), (3, (2,)), (2, (2, 4))])
 def test_pi_homomorphism_exhaustive(p, chain):
     t = build_tower(p, 1, chain)
     n = t.top_degree
@@ -497,16 +510,18 @@ def test_tower_serialization_roundtrip():
 
 
 def test_subfield_map_power_basis():
+    # GF(16) over GF(4) in the power basis (1, alpha): the one-level tower.
     F16 = gf(2, 4)
-    smap = SubfieldMap(F16, 2, (1, F16.alpha))
+    t = build_tower(2, 2, (2,))
+    assert t.field is F16 and t.betas == (1, F16.alpha)
     for a in F16.elements():
-        coords = smap.coords(a)
-        assert smap.lift(coords) == a
+        coords = t.beta_coords(a)
+        assert t.from_beta_coords(coords) == a
 
 
 def test_fresh_tower_searches_its_canonical_root_once():
-    # The beta map and the power-basis map sit over the same GF(p^s) and
-    # share one root search.
+    # The tower's one coordinate map, psi, needs the canonical root of
+    # GF(p^s) once; pi and the lifts read psi and search no other root.
     _canonical_root.cache_clear()
     build_tower.__wrapped__(2, 2, (3,))  # bypass the tower cache: a fresh s = 2 tower
     assert _canonical_root.cache_info().misses == 1
