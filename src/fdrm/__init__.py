@@ -5,11 +5,9 @@ from .ferrers import (
     DiagramError,
     FerrersDiagram,
     combine_diagrams,
-    contains,
     full_diagram,
     singleton_bound,
 )
-from .linalg import LinalgError, MatrixF, rank, systematic_form
 from .codes import (
     BudgetExceeded,
     CodeError,
@@ -37,7 +35,6 @@ from .constructions import (
     lift_matrix,
     lift_matrix_optimal,
     lift_vector,
-    restricted_gabidulin,
     systematic_mrd_with_first_column,
 )
 

@@ -17,7 +17,8 @@ codewords, whichever side is walked, and turns oversized requests into a
 distinct, recoverable signal rather than a silent skip.
 
 Every generator-derived code is built once, on its final diagram, by
-`generator_subcode`; `json_value` reads untrusted certificate fields at
+`generator_subcode` from its generator's rows, a tuple of row tuples over
+the tower's top field; `json_value` reads untrusted certificate fields at
 their exact JSON type, and a certificate row is read only as it would be
 written.
 """
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from . import _gf2
 from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
 from .ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
-from .linalg import MatrixF
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -395,27 +395,30 @@ def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str
 
 
 def generator_subcode(
-    tower: FieldTower, G: MatrixF, diagram: FerrersDiagram, delta: int,
+    tower: FieldTower, G, diagram: FerrersDiagram, delta: int,
     provenance: dict, r: int = 0,
 ) -> FdrmCode:
     """The F_q-code of generator G with message coordinate i confined to
     span(beta_1, ..., beta_{gamma_i}), laid out on `diagram`.
 
-    The one builder behind every generator-derived code: full expansions,
-    shortened, thm23 and staircase codes.  The basis matrix for
-    u = beta_{t+1} e_i is psi(beta_{t+1} g_i), a t_l-row block over
-    diagram.m - t_l zero rows; for r > 0 it also carries a 1 in each
+    G is a tuple of row tuples over the tower's top field, each of
+    diagram.n entries.  The one builder behind every generator-derived
+    code: full expansions, shortened, thm23 and staircase codes.  The basis
+    matrix for u = beta_{t+1} e_i is psi(beta_{t+1} g_i), a t_l-row block
+    over diagram.m - t_l zero rows; for r > 0 it also carries a 1 in each
     staircase column n-r+h, h >= i, at row t_l + gamma_{i+1} + ... +
     gamma_h + t.
     """
     m, n = diagram.m, diagram.n
     t_l = tower.top_degree
     gam = diagram.gammas
-    if G.nrows > n:
-        raise CodeError(f"{G.nrows} generator rows exceed {n} diagram columns")
+    if len(G) > n:
+        raise CodeError(f"{len(G)} generator rows exceed {n} diagram columns")
+    if any(len(g) != n for g in G):
+        raise CodeError(f"generator rows must each have {n} entries")
     check_ambient(diagram)
     basis = []
-    for i, g in enumerate(G.rows):
+    for i, g in enumerate(G):
         for t, top in enumerate(tower.expand(g, gam[i])):
             flat = [e for row in top for e in row] + [0] * ((m - t_l) * n)
             for h in range(i, r):
@@ -424,9 +427,10 @@ def generator_subcode(
     return FdrmCode(tower.base, diagram, tuple(basis), delta, provenance)
 
 
-def code_from_generator(tower: FieldTower, G: MatrixF, delta: int) -> FdrmCode:
-    """Full-diagram code {psi(u G)} over F_q from a k x n generator over the top field."""
-    diagram = full_diagram(tower.top_degree, G.ncols)
+def code_from_generator(tower: FieldTower, G, delta: int) -> FdrmCode:
+    """Full-diagram code {psi(u G)} over F_q from the k rows G, each of n
+    entries over the top field."""
+    diagram = full_diagram(tower.top_degree, len(G[0]) if G else 0)
     return generator_subcode(
         tower, G, diagram, delta, {"construction": "generator-expansion"}
     )
@@ -434,29 +438,30 @@ def code_from_generator(tower: FieldTower, G: MatrixF, delta: int) -> FdrmCode:
 
 def mrd_check(
     tower: FieldTower,
-    G: MatrixF,
+    G,
     delta: int,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """True iff the code of generator G is MRD[t_l x n, delta]_q.
+    """True iff the code of the generator rows G is MRD[t_l x n, delta]_q.
 
     Checks the dimension against max(m,n)(min(m,n)-delta+1) and then the
     exhaustive minimum rank.  Assumes the standing m >= n orientation.
+    Rows that are dependent, or not all n entries wide, give False.
     """
     m = tower.top_degree
-    n = G.ncols
+    n = len(G[0]) if G else 0
     if m < n:
         raise CodeError(f"m = {m} < n = {n}: transpose the problem first")
     if not 1 <= delta <= n:
         raise CodeError(f"delta {delta} out of range")
     expected = max(m, n) * (min(m, n) - delta + 1)
-    total = tower.base.order ** (m * G.nrows)
+    total = tower.base.order ** (m * len(G))
     if total > budget:
         raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
     try:
         code = code_from_generator(tower, G, delta)
     except CodeError:
-        return False  # dependent rows cannot reach the MRD dimension
+        return False  # dependent or ragged rows cannot reach the MRD dimension
     if code.dimension != expected:
         return False
     return _min_rank(code, budget, floor=delta, line=m) >= delta

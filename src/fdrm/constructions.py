@@ -2,8 +2,9 @@
 
 Four routes to a code, all emitting an explicit basis for uniform
 verification.  Apart from the trivial delta = 1 codes, the first three
-hand a generator and the target diagram to `codes.generator_subcode`,
-which builds the one code each returns:
+hand a generator, a plain tuple of row tuples over the tower's top field,
+and the target diagram to `codes.generator_subcode`, which builds the one
+code each returns:
 
 * shortening a Gabidulin code onto a diagram whose rightmost columns are
   tall enough ("shortened");
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 from .codes import (
     DEFAULT_BUDGET,
@@ -45,7 +46,7 @@ from .codes import (
 )
 from .fields import GF, FieldTower, build_tower, eliminate, gf
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
-from .linalg import MatrixF, rank, systematic_form
+from .linalg import rank, systematic_form
 
 
 # Column samples the prescribed-column search may draw before it gives up.
@@ -60,69 +61,65 @@ class ConstructionError(ValueError):
 class SystematicGenerator:
     """Generator of shape (I_k | A) over the tower's top field.
 
-    `delta` is the designed distance of the code generated on the leftmost
-    eta - r columns.  `staircase`, when set, is (r, eta, d): entry (i, j)
-    is zero for i < r and j >= eta - r + i, and removing the first nu rows,
-    leftmost nu columns and rightmost r - nu columns leaves a systematic
-    MRD generator for distance d + nu, for every 0 <= nu <= r.
+    `matrix` is its tuple of row tuples.  `delta` is the designed distance
+    of the code generated on the leftmost eta - r columns.  `staircase`,
+    when set, is (r, eta, d): entry (i, j) is zero for i < r and
+    j >= eta - r + i, and removing the first nu rows, leftmost nu columns
+    and rightmost r - nu columns leaves a systematic MRD generator for
+    distance d + nu, for every 0 <= nu <= r.
     """
 
     tower: FieldTower
-    matrix: MatrixF
+    matrix: tuple[tuple[int, ...], ...]
     delta: int
     staircase: tuple[int, int, int] | None = None
-    verified: bool = False
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        k, n = self.matrix.shape
+        G, k = self.matrix, self.k
         for i in range(k):
             for j in range(k):
-                if self.matrix.entry(i, j) != (1 if i == j else 0):
+                if G[i][j] != (1 if i == j else 0):
                     raise ConstructionError("left block is not the identity")
         if self.staircase is not None:
             r, eta, _ = self.staircase
-            if n != eta:
+            if any(len(row) != eta for row in G):
                 raise ConstructionError("staircase width mismatch")
             for i in range(min(r, k)):
                 for j in range(eta - r + i, eta):
-                    if self.matrix.entry(i, j) != 0:
+                    if G[i][j] != 0:
                         raise ConstructionError(
                             f"staircase zero violated at ({i}, {j})"
                         )
 
     @property
     def k(self) -> int:
-        return self.matrix.nrows
+        return len(self.matrix)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.ncols
-
-    def removal_submatrix(self, nu: int) -> MatrixF:
+    def removal_submatrix(self, nu: int) -> tuple[tuple[int, ...], ...]:
         """Drop the first nu rows, leftmost nu columns, rightmost r - nu columns."""
         if self.staircase is None:
             raise ConstructionError("generator carries no staircase metadata")
         r, eta, _ = self.staircase
         if not 0 <= nu <= r:
             raise ConstructionError(f"nu = {nu} outside 0..{r}")
-        return self.matrix.submatrix(slice(nu, self.k), slice(nu, eta - r + nu))
+        return tuple(row[nu : eta - r + nu] for row in self.matrix[nu:])
 
 
 # -- Moore / Gabidulin generators --
 
 
-def moore_matrix(tower: FieldTower, points, nrows: int) -> MatrixF:
+def moore_matrix(tower: FieldTower, points, nrows: int) -> tuple[tuple[int, ...], ...]:
     """Rows g^[0], g^[1], ..., g^[nrows-1] of Frobenius powers of `points`."""
     rows = []
     cur = tuple(tower.field.check(g) for g in points)
     for _ in range(nrows):
         rows.append(cur)
         cur = tuple(tower.frobenius(g, 1) for g in cur)
-    return MatrixF.from_rows(tower.field, rows)
+    return tuple(rows)
 
 
-def gabidulin_generator(tower: FieldTower, g, delta: int) -> MatrixF:
+def gabidulin_generator(tower: FieldTower, g, delta: int) -> tuple[tuple[int, ...], ...]:
     """Moore generator of the Gabidulin code on evaluation points g.
 
     Requires independent points, n <= t_l and 2 <= delta <= n; the
@@ -141,7 +138,7 @@ def gabidulin_generator(tower: FieldTower, g, delta: int) -> MatrixF:
     return moore_matrix(tower, g, n - delta + 1)
 
 
-def restricted_gabidulin(tower: FieldTower, n: int, delta: int) -> MatrixF:
+def restricted_gabidulin(tower: FieldTower, n: int, delta: int) -> tuple[tuple[int, ...], ...]:
     """Gabidulin generator on the initial beta segment (beta_1, ..., beta_n).
 
     The window t_{l-1} < n <= t_l pins the points to the top tower level.
@@ -256,26 +253,32 @@ def _gw_invertible(tower: FieldTower, cols, prepared) -> bool:
     return _det_nonzero(f, gw, k)
 
 
-def _free_column_isometry(tower: FieldTower, k: int, n: int, rng) -> MatrixF:
-    """Random n x n matrix over F_q that fixes columns 0..k and mixes the rest.
+def _free_column_isometry(tower: FieldTower, cols, rng) -> tuple[tuple[int, ...], ...]:
+    """Rows of the k x n generator with columns `cols` after random F_q-column
+    operations that fix columns 0..k and mix the rest.
 
     Free column c becomes sum_u T[u][c] col_u (u free, T invertible) plus
-    sum_{j <= k} S[j][c] col_j; right multiplication by an invertible
-    F_q-matrix keeps the rank of every codeword.
+    sum_{j <= k} S[j][c] col_j: right multiplication by an invertible
+    F_q-matrix, which keeps the rank of every codeword.
     """
-    base, free = tower.base, range(k + 1, n)
+    f, base = tower.field, tower.base
+    k, n = len(cols[0]), len(cols)
+    free = range(k + 1, n)
     while True:
         T = [[rng.randrange(base.order) for _ in free] for _ in free]
-        if not T or rank(MatrixF.from_rows(base, T)) == len(T):
+        if not T or rank(base, T) == len(T):
             break
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for t, c in enumerate(free):
-        for j in range(k + 1):
-            rows[j][c] = rng.randrange(base.order)
-        for u, r in enumerate(free):
-            rows[r][c] = T[u][t]
     emb = [tower.base_embed(v) for v in range(base.order)]
-    return MatrixF.from_rows(tower.field, [[emb[v] for v in row] for row in rows])
+    out = list(cols[: k + 1])
+    for t in range(len(free)):
+        coeffs = [emb[rng.randrange(base.order)] for _ in range(k + 1)]
+        coeffs += [emb[row[t]] for row in T]
+        new = [0] * k
+        for a, col in zip(coeffs, cols):
+            if a:
+                new = [f.add(x, f.mul(a, v)) for x, v in zip(new, col)]
+        out.append(tuple(new))
+    return tuple(zip(*out))
 
 
 def systematic_mrd_with_first_column(
@@ -350,16 +353,13 @@ def systematic_mrd_with_first_column(
         if done:
             break
 
-    G = MatrixF.from_rows(
-        tower.field, [tuple(cols[j][i] for j in range(n)) for i in range(k)]
-    ).mul(_free_column_isometry(tower, k, n, random.Random(seed)))
+    G = _free_column_isometry(tower, cols, random.Random(seed))
     if not mrd_check(tower, G, delta, budget):
         raise CodeError("witness filter and exhaustive check disagree")
     return SystematicGenerator(
         tower=tower,
         matrix=G,
         delta=delta,
-        verified=True,
         provenance={"construction": "prescribed-first-column",
                     "seed": seed, "attempts": attempts},
     )
@@ -425,7 +425,7 @@ def _shortened(tower: FieldTower, diagram: FerrersDiagram, delta: int, prov: dic
             f"gamma_{k} = {diagram.gammas[k]} below tower top degree {t_l}: "
             "use a tighter tower"
         )
-    _, S = systematic_form(gabidulin_generator(tower, tower.betas[:n], delta))
+    S = systematic_form(tower.field, gabidulin_generator(tower, tower.betas[:n], delta))
     return generator_subcode(tower, S, diagram, delta, prov)
 
 
@@ -499,7 +499,7 @@ def build_extended_generator(
     r: int,
     d: int,
     budget: int = DEFAULT_BUDGET,
-) -> SystematicGenerator:
+) -> tuple[SystematicGenerator, bool]:
     """Staircase generator (I_kappa | A_1 | ... | A_l) with verified removals.
 
     Level 0 is the systematic restricted Gabidulin code on
@@ -510,8 +510,9 @@ def build_extended_generator(
     levels agree on their shared columns, so the assembled matrix carries
     the staircase zeros exactly and every removal sub-matrix generates an
     MRD[t_l x (eta-r), d+nu]_q code.  All r+1 sub-contracts are then
-    verified exhaustively (or flagged unverified when the codeword budget
-    is exceeded; the Moore structure guarantees them regardless).
+    verified exhaustively.  Returns (generator, all_verified): all_verified
+    is False when some sub-contract exceeds the codeword budget, which the
+    Moore structure guarantees regardless.
     """
     t_l = tower.top_degree
     lower = tower.level_degree(tower.levels - 1)
@@ -530,8 +531,8 @@ def build_extended_generator(
 
     f = tower.field
     points = list(tower.betas[:L])
-    _, S0 = systematic_form(moore_matrix(tower, points, kappa))
-    rows = [list(S0.row(i)) + [0] * r for i in range(kappa)]
+    S0 = systematic_form(f, moore_matrix(tower, points, kappa))
+    rows = [list(row) + [0] * r for row in S0]
 
     prev = points
     for nu in range(1, r + 1):
@@ -545,32 +546,30 @@ def build_extended_generator(
         if ext is None:
             raise ConstructionError("no point extends the core independently over F_q")
         pts = core + [ext]
-        _, S = systematic_form(moore_matrix(tower, pts, kappa - nu))
+        S = systematic_form(f, moore_matrix(tower, pts, kappa - nu))
         for i in range(kappa - nu):
             for j in range(L - 1):
-                if S.entry(i, j) != rows[nu + i][nu + j]:
+                if S[i][j] != rows[nu + i][nu + j]:
                     raise CodeError(
                         "derived level disagrees with shared columns: "
                         f"level {nu}, entry ({i}, {j})"
                     )
-            rows[nu + i][L + nu - 1] = S.entry(i, L - 1)
+            rows[nu + i][L + nu - 1] = S[i][L - 1]
         prev = pts
 
-    G = MatrixF.from_rows(f, rows)
     for j in range(kappa, eta):
         x = _column_level(tower, j)
         for i in range(kappa):
-            if not tower.in_level(G.entry(i, j), x):
+            if not tower.in_level(rows[i][j], x):
                 raise CodeError(
                     f"entry ({i}, {j}) escapes level-{x} field"
                 )
 
     gen = SystematicGenerator(
         tower=tower,
-        matrix=G,
+        matrix=tuple(map(tuple, rows)),
         delta=d,
         staircase=(r, eta, d),
-        verified=False,
         provenance={"construction": "extended-staircase", "eta": eta, "r": r, "d": d},
     )
     all_verified = True
@@ -581,7 +580,7 @@ def build_extended_generator(
                 raise CodeError(f"removal sub-contract nu={nu} fails MRD check")
         except BudgetExceeded:
             all_verified = False
-    return replace(gen, verified=all_verified)
+    return gen, all_verified
 
 
 def construct_staircase(
@@ -650,7 +649,7 @@ def construct_staircase(
                 f"gamma_{n - r + h} = {gam[n - r + h]} < {need}"
             )
 
-    gen = build_extended_generator(tower, eta=n, r=r, d=delta - r, budget=budget)
+    gen, verified = build_extended_generator(tower, eta=n, r=r, d=delta - r, budget=budget)
     if gen.k != k:
         raise CodeError("staircase generator row count mismatch")
 
@@ -661,7 +660,7 @@ def construct_staircase(
         "r": r,
         "w": w,
         "chain": list(tower.chain),
-        "generator_verified": gen.verified,
+        "generator_verified": verified,
     }
     return generator_subcode(tower, gen.matrix, diagram, delta, prov, r=r)
 

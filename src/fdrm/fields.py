@@ -521,8 +521,8 @@ class FieldTower:
         and from_psi inverts it exactly.
         """
         cols = [self.beta_coords(self.field.check(v)) for v in vec]
-        t = self.top_degree
-        return tuple(tuple(col[i] for col in cols) for i in range(t))
+        # built from lists: tuple(genexpr) leaves a GC-counted object per row
+        return tuple([tuple([col[i] for col in cols]) for i in range(self.top_degree)])
 
     def expand(self, vec, count: int) -> list[tuple[tuple[int, ...], ...]]:
         """Coordinate matrices psi(beta_t * vec) for t = 1, ..., count, in order.
@@ -531,8 +531,10 @@ class FieldTower:
         here.  count = t_l spans the row's whole F_{q^{t_l}}-line, the block
         that `_min_rank(..., line=t_l)` walks as one; a smaller count
         confines the row's message coordinate to span(beta_1, ..., beta_count).
+        Raises FieldError on an entry outside the top field.
         """
-        mul = self.field.mul
+        mul, check = self.field.mul, self.field.check
+        vec = [check(v) for v in vec]
         return [self.psi([mul(b, v) for v in vec]) for b in self.betas[:count]]
 
     def psi_inv(self, rows) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from fdrm.constructions import (
 )
 from fdrm.fields import build_tower, gf
 from fdrm.ferrers import FerrersDiagram, singleton_bound
-from fdrm.linalg import MatrixF, rank
+from fdrm.linalg import rank
 
 AT_SCALE_DIAGRAM = FerrersDiagram((10,) * 5 + (15,) * 10)
 TALL_STAIR_DIAGRAM = FerrersDiagram((1, 2, 4, 4, 8, 8, 8, 8, 9, 11))
@@ -118,8 +118,8 @@ def test_criterion_5_staircase_at_scale():
 def test_criterion_6_extended_generator_contract():
     t0 = time.time()
     tower = build_tower(2, 1, (3,))
-    gen = build_extended_generator(tower, eta=4, r=1, d=2)
-    assert gen.verified  # both removal sub-contracts checked exhaustively
+    gen, verified = build_extended_generator(tower, eta=4, r=1, d=2)
+    assert verified  # both removal sub-contracts checked exhaustively
     for nu in (0, 1):
         sub = gen.removal_submatrix(nu)
         code = code_from_generator(tower, sub, 2 + nu)
@@ -160,18 +160,16 @@ def test_criterion_8_lifts():
     rng = random.Random(7)
     for _ in range(50):
         s_, t_ = rng.randint(1, 4), rng.randint(1, 4)
-        A = MatrixF.from_rows(
-            F4, [[rng.randrange(4) for _ in range(t_)] for _ in range(s_)]
-        )
-        rho = rank(A)
+        A = [[rng.randrange(4) for _ in range(t_)] for _ in range(s_)]
+        rho = rank(F4, A)
         big = [[0] * (2 * t_) for _ in range(2 * s_)]
         for i in range(s_):
             for j in range(t_):
-                blk = t4.pi_expand(A.entry(i, j))
+                blk = t4.pi_expand(A[i][j])
                 for u in range(2):
                     for v in range(2):
                         big[2 * i + u][2 * j + v] = blk[u][v]
-        assert rank(MatrixF.from_rows(F2f, big)) >= 2 * rho
+        assert rank(F2f, big) >= 2 * rho
     _finish(8, t0, 5, "optimal [[4,4,6,6,6,6,10,10],4,8]_2 + rank inequality")
 
 

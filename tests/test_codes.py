@@ -19,6 +19,7 @@ from fdrm.codes import (
     certify,
     check_ambient,
     code_from_certificate,
+    code_from_generator,
     distance_at_least,
     generator_subcode,
     is_optimal,
@@ -28,9 +29,9 @@ from fdrm.codes import (
     verify_support,
 )
 from fdrm.constructions import full_support_code, moore_matrix
-from fdrm.fields import build_tower, gf
+from fdrm.fields import FieldError, build_tower, gf
 from fdrm.ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
-from fdrm.linalg import MatrixF, rank, systematic_form
+from fdrm.linalg import rank, systematic_form
 
 F2 = gf(2, 1)
 
@@ -110,7 +111,7 @@ def test_fast_path_matches_generic_path():
                 msg[i] = 0
                 i += 1
             rows = [cur[r * n : (r + 1) * n] for r in range(m)]
-            best = min(best, rank(MatrixF.from_rows(F2, rows)))
+            best = min(best, rank(F2, rows))
         assert fast == best
 
 
@@ -228,9 +229,23 @@ def test_mrd_check_rejects_dependent_points():
 
 def test_mrd_check_requires_m_ge_n():
     t = build_tower(2, 1, (2,))
-    G = MatrixF.from_rows(t.field, [[1, 0, 0], [0, 1, 0]])
+    G = ((1, 0, 0), (0, 1, 0))
     with pytest.raises(CodeError):
         mrd_check(t, G, 2)
+
+
+def test_generator_input_is_checked():
+    t = build_tower(2, 1, (3,))
+    G = moore_matrix(t, t.betas, 2)
+    for ragged in ((G[0], G[1][:2]), (G[0][:2], G[1])):
+        with pytest.raises(CodeError):
+            code_from_generator(t, ragged, 2)
+        assert mrd_check(t, ragged, 2) is False  # malformed, so not MRD
+    with pytest.raises(CodeError):
+        mrd_check(t, (), 2)  # no rows, so no columns and no distance
+    for bad in (t.field.order, -1, 1.0):
+        with pytest.raises(FieldError):
+            code_from_generator(t, (G[0], (G[1][0], bad, G[1][2])), 2)
 
 
 # -- restriction: message coordinate i confined to the first gamma_i betas --
@@ -239,7 +254,7 @@ def test_mrd_check_requires_m_ge_n():
 def test_restrict_subcode_full_profile_is_parent():
     t = build_tower(2, 1, (3,))
     G = moore_matrix(t, t.betas, 2)
-    _, S = systematic_form(G)
+    S = systematic_form(t.field, G)
     code = generator_subcode(t, S, FerrersDiagram((3, 3, 3)), 2, {})
     assert code.dimension == 6  # m*k
     assert code.diagram.gammas == (3, 3, 3)
@@ -249,7 +264,7 @@ def test_restrict_subcode_full_profile_is_parent():
 def test_restrict_subcode_profile_1_2():
     t = build_tower(2, 1, (3,))
     G = moore_matrix(t, t.betas, 2)
-    _, S = systematic_form(G)
+    S = systematic_form(t.field, G)
     code = generator_subcode(t, S, FerrersDiagram((1, 2, 3)), 2, {})
     assert code.dimension == 3
     assert code.diagram.gammas == (1, 2, 3)
@@ -264,7 +279,7 @@ def test_restrict_subcode_distance_never_below_parent():
     rng = random.Random(6)
     t = build_tower(2, 1, (4,))
     G = moore_matrix(t, t.betas, 2)
-    _, S = systematic_form(G)
+    S = systematic_form(t.field, G)
     for _ in range(10):
         lo = rng.randint(1, 4)
         hi = rng.randint(lo, 4)
@@ -322,7 +337,7 @@ def test_certificate_roundtrip():
 def test_certificate_roundtrip_f4():
     t = build_tower(2, 2, (2,))  # F_4 < F_16
     G = moore_matrix(t, t.betas, 1)
-    _, S = systematic_form(G)
+    S = systematic_form(t.field, G)
     code = generator_subcode(t, S, FerrersDiagram((2, 2)), 2, {})
     data = certificate(code, False)
     back = code_from_certificate(data)

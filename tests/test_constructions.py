@@ -5,6 +5,7 @@ rank additivity over block arrangements, and the kernel-witness MRD test
 as an independent route against exhaustive enumeration.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -47,7 +48,7 @@ from fdrm.constructions import (
 )
 from fdrm.fields import build_tower, gf
 from fdrm.ferrers import FerrersDiagram, full_diagram, singleton_bound
-from fdrm.linalg import MatrixF, rank, systematic_form
+from fdrm.linalg import rank, systematic_form
 
 F2 = gf(2, 1)
 
@@ -58,17 +59,16 @@ F2 = gf(2, 1)
 def test_gabidulin_single_row_when_delta_is_n():
     t = build_tower(2, 1, (3,))
     G = gabidulin_generator(t, t.betas, 3)
-    assert G.shape == (1, 3)
-    assert G.row(0) == t.betas
+    assert G == (t.betas,)
 
 
 def test_gabidulin_moore_structure():
     t = build_tower(2, 1, (4,))
     g = t.betas[:3]
     G = gabidulin_generator(t, g, 2)
-    for i in range(G.nrows):
-        for j in range(G.ncols):
-            assert G.entry(i, j) == t.frobenius(g[j], i)
+    assert len(G) == 2
+    for i, row in enumerate(G):
+        assert row == tuple(t.frobenius(x, i) for x in g)
 
 
 def test_gabidulin_is_mrd():
@@ -90,13 +90,13 @@ def test_gabidulin_rejects_bad_inputs():
 def test_restricted_gabidulin():
     t = build_tower(2, 1, (2, 4))
     G = restricted_gabidulin(t, 3, 2)
-    assert G.row(0) == t.betas[:3]
+    assert G[0] == t.betas[:3]
     assert mrd_check(t, G, 2)  # exhaustive over 2^8 codewords
     with pytest.raises(ConstructionError):
         restricted_gabidulin(t, 2, 2)  # n must exceed t_{l-1}
     t1 = build_tower(2, 1, (3,))
     G = restricted_gabidulin(t1, 3, 2)
-    assert G.row(0) == t1.betas
+    assert G[0] == t1.betas
 
 
 def mrd_witness_check(tower, matrix, delta):
@@ -107,10 +107,10 @@ def mrd_witness_check(tower, matrix, delta):
     F_q; this enumerates one W per column space, with the witness helpers
     of the prescribed-column search.
     """
-    k, n = matrix.shape
+    k, n = len(matrix), len(matrix[0])
     if delta != n - k + 1:
         return False
-    cols = matrix.transpose().rows
+    cols = tuple(zip(*matrix))
     return all(
         fdrm.constructions._gw_invertible(tower, cols, prepared)
         for group in fdrm.constructions._witness_groups(tower.p, tower.s, n, k)
@@ -125,14 +125,51 @@ def test_witness_check_agrees_with_enumeration():
     for _ in range(20):
         k = rng.randint(1, 3)
         n = rng.randint(k + 1, 4)
-        A = MatrixF.from_rows(
-            t.field,
-            [[rng.randrange(16) for _ in range(n - k)] for _ in range(k)],
-        )
-        G = MatrixF.from_rows(
-            t.field, [[int(i == j) for j in range(k)] + list(r) for i, r in enumerate(A.rows)]
+        G = tuple(
+            tuple(int(i == j) for j in range(k)) + tuple(rng.randrange(16) for _ in range(n - k))
+            for i in range(k)
         )
         assert mrd_witness_check(t, G, n - k + 1) == mrd_check(t, G, n - k + 1)
+
+
+def mat_mul(field, A, B):
+    """Plain product A B of row arrays over `field` (test reference)."""
+    return tuple(
+        tuple(functools.reduce(field.add, map(field.mul, r, c), 0) for c in zip(*B))
+        for r in A
+    )
+
+
+def isometry_matrix(tower, k, n, rng):
+    """The n x n matrix over the top field whose right product
+    `_free_column_isometry` applies: identity on columns 0..k, free column
+    c = sum_{j <= k} S[j][c] e_j + sum_u T[u][c] e_u, with T invertible over
+    F_q, drawn from `rng` in the same order."""
+    base, free = tower.base, range(k + 1, n)
+    while True:
+        T = [[rng.randrange(base.order) for _ in free] for _ in free]
+        if not T or rank(base, T) == len(T):
+            break
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t, c in enumerate(free):
+        for j in range(k + 1):
+            rows[j][c] = rng.randrange(base.order)
+        for u, r in enumerate(free):
+            rows[r][c] = T[u][t]
+    return [[tower.base_embed(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("p, t_l", [(2, 3), (2, 4), (3, 3)])
+def test_free_column_isometry_is_the_right_product(p, t_l):
+    tower = build_tower(p, 1, (t_l,))
+    for seed in range(10):
+        rng = random.Random(100 + seed)
+        for k in range(1, t_l):
+            cols = [tuple(rng.randrange(tower.field.order) for _ in range(k))
+                    for _ in range(t_l)]
+            got = fdrm.constructions._free_column_isometry(tower, cols, random.Random(seed))
+            P = isometry_matrix(tower, k, t_l, random.Random(seed))
+            assert got == mat_mul(tower.field, tuple(zip(*cols)), P), (seed, k)
 
 
 # -- prescribed first column --
@@ -142,8 +179,8 @@ def test_prescribed_column_delta2_forced():
     t = build_tower(2, 1, (3,))
     a = (t.beta(2), t.beta(3))
     gen = systematic_mrd_with_first_column(t, a, 2, 3)
-    assert gen.matrix.transpose().rows[2] == a
-    assert gen.verified
+    assert tuple(zip(*gen.matrix))[2] == a
+    assert mrd_check(t, gen.matrix, 2)
 
 
 def test_prescribed_column_power_points():
@@ -161,9 +198,9 @@ def test_prescribed_column_search_cost_independent_of_seed():
     gens = [systematic_mrd_with_first_column(t, a, 4, 5, seed=s) for s in range(6)]
     # One search for every seed; the seed only picks the isometric copy.
     assert len({g.provenance["attempts"] for g in gens}) == 1
-    assert len({g.matrix.rows for g in gens}) > 1
+    assert len({g.matrix for g in gens}) > 1
     for g in gens:
-        assert g.matrix.transpose().rows[:3] == ((1, 0), (0, 1), a)
+        assert tuple(zip(*g.matrix))[:3] == ((1, 0), (0, 1), a)
         assert mrd_check(t, g.matrix, 4)
 
 
@@ -322,29 +359,28 @@ def test_prescribed_column_at_q3():
 
 def test_extended_generator_r0_is_restricted_gabidulin():
     t = build_tower(2, 1, (3,))
-    gen = build_extended_generator(t, eta=3, r=0, d=2)
-    _, S = systematic_form(restricted_gabidulin(t, 3, 2))
-    assert gen.matrix.rows == S.rows
-    assert gen.verified
+    gen, verified = build_extended_generator(t, eta=3, r=0, d=2)
+    assert gen.matrix == systematic_form(t.field, restricted_gabidulin(t, 3, 2))
+    assert verified
 
 
 def test_extended_generator_criterion_case():
     t = build_tower(2, 1, (3,))
-    gen = build_extended_generator(t, eta=4, r=1, d=2)
-    assert gen.verified
-    assert gen.matrix.entry(0, 3) == 0
+    gen, verified = build_extended_generator(t, eta=4, r=1, d=2)
+    assert verified
+    assert gen.matrix[0][3] == 0
     for nu in (0, 1):
         assert mrd_check(t, gen.removal_submatrix(nu), 2 + nu)
 
 
 def test_extended_generator_two_level():
     t = build_tower(2, 1, (2, 6))
-    gen = build_extended_generator(t, eta=5, r=1, d=3)
-    assert gen.verified
+    gen, verified = build_extended_generator(t, eta=5, r=1, d=3)
+    assert verified
     # column subfield structure: entries of column j with j < t_1 stay in F_4
     for i in range(gen.k):
         for j in range(gen.k, 2):
-            assert t.in_level(gen.matrix.entry(i, j), 1)
+            assert t.in_level(gen.matrix[i][j], 1)
     for nu in (0, 1):
         assert mrd_check(t, gen.removal_submatrix(nu), 3 + nu)
 
@@ -359,11 +395,11 @@ def test_extended_generator_preconditions():
 
 def test_staircase_metadata_zero_pattern():
     t = build_tower(2, 1, (4,))
-    gen = build_extended_generator(t, eta=6, r=2, d=2)
+    gen, _ = build_extended_generator(t, eta=6, r=2, d=2)
     r, eta, _ = gen.staircase
     for i in range(r):
         for j in range(eta - r + i, eta):
-            assert gen.matrix.entry(i, j) == 0
+            assert gen.matrix[i][j] == 0
     with pytest.raises(ConstructionError):
         SystematicGenerator(
             tower=t,
@@ -679,18 +715,16 @@ def test_lift_matrix_rank_inequality():
     t4 = build_tower(2, 1, (2,))  # GF(2) < GF(4), power basis (1, alpha)
     for _ in range(50):
         s_, t_ = rng.randint(1, 4), rng.randint(1, 4)
-        A = MatrixF.from_rows(
-            F4, [[rng.randrange(4) for _ in range(t_)] for _ in range(s_)]
-        )
-        rho = rank(A)
+        A = [[rng.randrange(4) for _ in range(t_)] for _ in range(s_)]
+        rho = rank(F4, A)
         big = [[0] * (2 * t_) for _ in range(2 * s_)]
         for i in range(s_):
             for j in range(t_):
-                blk = t4.pi_expand(A.entry(i, j))
+                blk = t4.pi_expand(A[i][j])
                 for u in range(2):
                     for v in range(2):
                         big[2 * i + u][2 * j + v] = blk[u][v]
-        assert rank(MatrixF.from_rows(F2, big)) >= 2 * rho
+        assert rank(F2, big) >= 2 * rho
 
 
 def test_lift_matrix_optimal_rejects_bad_inputs():

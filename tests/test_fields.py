@@ -321,6 +321,20 @@ def test_psi_linearity_against_solve_oracle():
                     assert got == want
 
 
+@pytest.mark.parametrize("p, s, chain", [(2, 1, (6, 18)), (3, 1, (2, 4)), (2, 2, (3,))])
+def test_psi_rows_match_the_column_transpose(p, s, chain):
+    # psi builds its rows from lists; the rows are the same tuples that
+    # transposing the beta-coordinate columns one generator at a time gives.
+    t = build_tower(p, s, chain)
+    rng = random.Random(8)
+    for n in (0, 1, 2, 5, 18):
+        for _ in range(20):
+            vec = [rng.randrange(t.field.order) for _ in range(n)]
+            cols = [t.beta_coords(v) for v in vec]
+            want = tuple(tuple(col[i] for col in cols) for i in range(t.top_degree))
+            assert t.psi(vec) == want
+
+
 def test_psi_inv_roundtrip():
     t = build_tower(2, 1, (4,))
     rng = random.Random(5)
