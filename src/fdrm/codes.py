@@ -478,29 +478,35 @@ def canonical_basis(code: FdrmCode) -> tuple[tuple[int, ...], ...]:
 # -- certificate serialization --
 
 
-def _row_string(field: GF, row) -> str:
+def _matrix_rows(field: GF, flat, n: int) -> list[str]:
+    """A flat basis matrix as its row strings of n entries: up to GF(16)
+    one lower-case hex digit per entry, written as one string and cut into
+    rows, beyond that dot-separated decimals per row."""
     if field.order <= 16:
-        return "".join(f"{e:x}" for e in row)
-    return ".".join(str(e) for e in row)
+        text = bytes(flat).hex()[1::2]  # each entry one byte "0x": keep the x
+        return [text[i : i + n] for i in range(0, len(text), n)]
+    return [".".join(map(str, flat[i : i + n])) for i in range(0, len(flat), n)]
 
 
-def _row_parse(field: GF, text: str, ncols: int) -> tuple[int, ...]:
-    """The entries of a row string, read only in the exact form `_row_string`
-    writes (int() alone takes signs, spaces, "_", upper-case hex and
-    non-ASCII digits): up to GF(16) one lower-case hex digit per entry,
-    beyond that decimals that write back to `text`."""
+def _matrix_parse(field: GF, rows: list, n: int) -> tuple[int, ...]:
+    """The flat entries of a basis matrix's row strings, read only in the
+    exact form `_matrix_rows` writes (int() alone takes signs, spaces, "_",
+    upper-case hex and non-ASCII digits): up to GF(16) rows of n lower-case
+    hex digits, beyond that decimals that write back to `rows`."""
     try:
         if field.order <= 16:
-            vals = tuple(map("0123456789abcdef".index, text))
+            if set(map(len, rows)) == {n}:
+                return tuple(map("0123456789abcdef".index, "".join(rows)))
         else:
-            vals = tuple(map(int, text.split(".")))
-            if _row_string(field, vals) != text:
-                vals = None
+            vals = tuple(map(int, ".".join(rows).split(".")))
+            if len(vals) == len(rows) * n and _matrix_rows(field, vals, n) == rows:
+                return vals
     except ValueError:
-        vals = None
-    if vals is None or len(vals) != ncols:
-        raise CodeError(f"row {text!r} is not {ncols} entries over GF({field.order})")
-    return vals
+        pass
+    raise CodeError(
+        f"basis matrix {rows!r:.60} is not {len(rows)} rows of {n} entries "
+        f"over GF({field.order})"
+    )
 
 
 def certificate(code: FdrmCode, verified: bool, field_serial: dict | None = None) -> dict:
@@ -521,10 +527,7 @@ def certificate(code: FdrmCode, verified: bool, field_serial: dict | None = None
         "delta": code.claimed_delta,
         "verified": verified,
         "provenance": code.provenance,
-        "basis": [
-            [_row_string(code.field, b[i : i + n]) for i in range(0, len(b), n)]
-            for b in code.basis
-        ],
+        "basis": [_matrix_rows(code.field, b, n) for b in code.basis],
     }
 
 
@@ -587,10 +590,7 @@ def code_from_certificate(data: dict) -> FdrmCode:
         )
     if not matrices:
         raise CodeError("certificate has an empty basis")
-    basis = tuple(
-        tuple(e for r in rows for e in _row_parse(field, r, diagram.n))
-        for rows in matrices
-    )
+    basis = tuple(_matrix_parse(field, rows, diagram.n) for rows in matrices)
     code = FdrmCode(field, diagram, basis, json_value(data, "delta", int), dict(provenance))
     if code.dimension != json_value(data, "dimension", int):
         raise CodeError("certificate dimension mismatch")

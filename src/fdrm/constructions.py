@@ -57,53 +57,27 @@ class ConstructionError(ValueError):
     """A construction's stated preconditions reject the input."""
 
 
+def _check_identity_block(G) -> None:
+    """Raise unless the generator's rows start with the k x k identity."""
+    k = len(G)
+    for i in range(k):
+        for j in range(k):
+            if G[i][j] != (1 if i == j else 0):
+                raise ConstructionError("left block is not the identity")
+
+
 @dataclass(frozen=True, eq=False)
 class SystematicGenerator:
-    """Generator of shape (I_k | A) over the tower's top field.
+    """What the prescribed-column search returns: its generator (I_k | A)
+    over the tower's top field, a tuple of row tuples, and its provenance,
+    whose `attempts` counts the columns it sampled (perfbench/spans.py
+    reads it)."""
 
-    `matrix` is its tuple of row tuples.  `delta` is the designed distance
-    of the code generated on the leftmost eta - r columns.  `staircase`,
-    when set, is (r, eta, d): entry (i, j) is zero for i < r and
-    j >= eta - r + i, and removing the first nu rows, leftmost nu columns
-    and rightmost r - nu columns leaves a systematic MRD generator for
-    distance d + nu, for every 0 <= nu <= r.
-    """
-
-    tower: FieldTower
     matrix: tuple[tuple[int, ...], ...]
-    delta: int
-    staircase: tuple[int, int, int] | None = None
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        G, k = self.matrix, self.k
-        for i in range(k):
-            for j in range(k):
-                if G[i][j] != (1 if i == j else 0):
-                    raise ConstructionError("left block is not the identity")
-        if self.staircase is not None:
-            r, eta, _ = self.staircase
-            if any(len(row) != eta for row in G):
-                raise ConstructionError("staircase width mismatch")
-            for i in range(min(r, k)):
-                for j in range(eta - r + i, eta):
-                    if G[i][j] != 0:
-                        raise ConstructionError(
-                            f"staircase zero violated at ({i}, {j})"
-                        )
-
-    @property
-    def k(self) -> int:
-        return len(self.matrix)
-
-    def removal_submatrix(self, nu: int) -> tuple[tuple[int, ...], ...]:
-        """Drop the first nu rows, leftmost nu columns, rightmost r - nu columns."""
-        if self.staircase is None:
-            raise ConstructionError("generator carries no staircase metadata")
-        r, eta, _ = self.staircase
-        if not 0 <= nu <= r:
-            raise ConstructionError(f"nu = {nu} outside 0..{r}")
-        return tuple(row[nu : eta - r + nu] for row in self.matrix[nu:])
+        _check_identity_block(self.matrix)
 
 
 # -- Moore / Gabidulin generators --
@@ -357,9 +331,7 @@ def systematic_mrd_with_first_column(
     if not mrd_check(tower, G, delta, budget):
         raise CodeError("witness filter and exhaustive check disagree")
     return SystematicGenerator(
-        tower=tower,
         matrix=G,
-        delta=delta,
         provenance={"construction": "prescribed-first-column",
                     "seed": seed, "attempts": attempts},
     )
@@ -482,15 +454,10 @@ def construct_prescribed_column(
 
 
 def _column_level(tower: FieldTower, j: int) -> int:
-    """Tower level whose field must contain entries of generator column j."""
-    if tower.levels == 1:
-        return 1
-    if j >= tower.level_degree(tower.levels - 1):
-        return tower.levels
-    for x in range(1, tower.levels + 1):
-        if j < tower.level_degree(x):
-            return x
-    return tower.levels
+    """Tower level whose field must contain entries of generator column j:
+    the first level x with j < t_x, else the top level."""
+    return next((x for x in range(1, tower.levels + 1) if j < tower.level_degree(x)),
+                tower.levels)
 
 
 def build_extended_generator(
@@ -499,7 +466,7 @@ def build_extended_generator(
     r: int,
     d: int,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[SystematicGenerator, bool]:
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Staircase generator (I_kappa | A_1 | ... | A_l) with verified removals.
 
     Level 0 is the systematic restricted Gabidulin code on
@@ -509,10 +476,13 @@ def build_extended_generator(
     systematic Moore form.  Shorten-puncture uniqueness makes consecutive
     levels agree on their shared columns, so the assembled matrix carries
     the staircase zeros exactly and every removal sub-matrix generates an
-    MRD[t_l x (eta-r), d+nu]_q code.  All r+1 sub-contracts are then
-    verified exhaustively.  Returns (generator, all_verified): all_verified
-    is False when some sub-contract exceeds the codeword budget, which the
-    Moore structure guarantees regardless.
+    MRD[t_l x (eta-r), d+nu]_q code.  Returns (rows, all_verified): the
+    kappa x eta generator as a tuple of row tuples, checked for the
+    identity block, width eta, the staircase zeros ((i, j) is 0 for i < r,
+    j >= eta - r + i) and each column's tower level; then every removal
+    sub-matrix (rows nu.., columns nu..eta-r+nu-1) goes to `mrd_check` at
+    distance d + nu.  all_verified is False when some sub-contract exceeds
+    the codeword budget, which the Moore structure guarantees regardless.
     """
     t_l = tower.top_degree
     lower = tower.level_degree(tower.levels - 1)
@@ -565,22 +535,24 @@ def build_extended_generator(
                     f"entry ({i}, {j}) escapes level-{x} field"
                 )
 
-    gen = SystematicGenerator(
-        tower=tower,
-        matrix=tuple(map(tuple, rows)),
-        delta=d,
-        staircase=(r, eta, d),
-        provenance={"construction": "extended-staircase", "eta": eta, "r": r, "d": d},
-    )
+    G = tuple(map(tuple, rows))
+    _check_identity_block(G)
+    if any(len(row) != eta for row in G):
+        raise ConstructionError("staircase width mismatch")
+    for i in range(r):
+        for j in range(L + i, eta):
+            if G[i][j] != 0:
+                raise ConstructionError(f"staircase zero violated at ({i}, {j})")
+
     all_verified = True
     for nu in range(r + 1):
-        sub = gen.removal_submatrix(nu)
+        sub = tuple(row[nu : L + nu] for row in G[nu:])
         try:
             if not mrd_check(tower, sub, d + nu, budget):
                 raise CodeError(f"removal sub-contract nu={nu} fails MRD check")
         except BudgetExceeded:
             all_verified = False
-    return gen, all_verified
+    return G, all_verified
 
 
 def construct_staircase(
@@ -649,8 +621,8 @@ def construct_staircase(
                 f"gamma_{n - r + h} = {gam[n - r + h]} < {need}"
             )
 
-    gen, verified = build_extended_generator(tower, eta=n, r=r, d=delta - r, budget=budget)
-    if gen.k != k:
+    rows, verified = build_extended_generator(tower, eta=n, r=r, d=delta - r, budget=budget)
+    if len(rows) != k:
         raise CodeError("staircase generator row count mismatch")
 
     prov = {
@@ -662,7 +634,7 @@ def construct_staircase(
         "chain": list(tower.chain),
         "generator_verified": verified,
     }
-    return generator_subcode(tower, gen.matrix, diagram, delta, prov, r=r)
+    return generator_subcode(tower, rows, diagram, delta, prov, r=r)
 
 
 def construct_staircase_l2(

@@ -118,10 +118,10 @@ def test_criterion_5_staircase_at_scale():
 def test_criterion_6_extended_generator_contract():
     t0 = time.time()
     tower = build_tower(2, 1, (3,))
-    gen, verified = build_extended_generator(tower, eta=4, r=1, d=2)
+    rows, verified = build_extended_generator(tower, eta=4, r=1, d=2)
     assert verified  # both removal sub-contracts checked exhaustively
     for nu in (0, 1):
-        sub = gen.removal_submatrix(nu)
+        sub = tuple(row[nu : 3 + nu] for row in rows[nu:])  # eta - r = 3
         code = code_from_generator(tower, sub, 2 + nu)
         assert code.dimension == 3 * (3 - (2 + nu) + 1)
         assert min_rank_distance(code) == 2 + nu

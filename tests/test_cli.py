@@ -327,6 +327,8 @@ def _basis_cert(tmp_path, basis, diagram="[1]", p=2, degree=1):
         lambda tmp: _basis_cert(tmp, [["2"]]),
         lambda tmp: _basis_cert(tmp, [["f"]], p=3),
         lambda tmp: _basis_cert(tmp, [["17"]], p=17),
+        lambda tmp: _basis_cert(tmp, [["10", ""]], diagram="[2]"),
+        lambda tmp: _basis_cert(tmp, [["1.0.0", "0"]], diagram="[2,2]", p=17),
         lambda tmp: _raw(tmp, ["verify"], '[{"diagram": "[1]"}]'),
         lambda tmp: _tampered_cert(tmp, lambda c: c.pop("dimension")),
         lambda tmp: _tampered_cert(tmp, lambda c: c.pop("basis")),
@@ -342,7 +344,8 @@ def _basis_cert(tmp_path, basis, diagram="[1]", p=2, degree=1):
          "cert-basis-integer-row", "cert-basis-mixed", "cert-basis-string-matrix",
          "cert-row-int-syntax", "cert-row-empty-entry", "cert-row-upper-hex",
          "cert-entry-2-gf2", "cert-entry-f-gf3", "cert-entry-17-gf17",
-         "cert-list", "cert-no-dimension", "cert-no-basis", "cert-diagram-huge-int",
+         "cert-row-lengths-hex", "cert-row-lengths-dotted", "cert-list",
+         "cert-no-dimension", "cert-no-basis", "cert-diagram-huge-int",
          "bound-diagram-huge-int"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
@@ -459,6 +462,21 @@ def test_thm23_certificate_bytes(tmp_path, argv, sha):
     out = tmp_path / "thm23.json"
     assert main(["construct", "--construction", "thm23", *argv, "--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+# SHA-256 of a tall certificate: 1024 basis matrices of 1024 one-entry rows,
+# each matrix written as one hex string cut into rows.
+TALL_SHA = "ecbd0389a61ee1fb1c4c6f00fd1c0fbffeae0f93dad3364ff360ce8600ebfa02"
+
+
+def test_tall_certificate_bytes_and_round_trip(tmp_path, capsys):
+    out = tmp_path / "tall.json"
+    assert main(["construct", "--construction", "shortened", "-F", "[1024]", "-d", "1",
+                 "-q", "2", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TALL_SHA
+    again = tmp_path / "again.json"
+    assert main(["verify", str(out), "--json", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize(

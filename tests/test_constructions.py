@@ -357,32 +357,38 @@ def test_prescribed_column_at_q3():
 # -- extended staircase generator --
 
 
+def _removal(rows, eta, r, nu):
+    """Removal sub-matrix nu: drop the first nu rows, the leftmost nu
+    columns and the rightmost r - nu columns."""
+    return tuple(row[nu : eta - r + nu] for row in rows[nu:])
+
+
 def test_extended_generator_r0_is_restricted_gabidulin():
     t = build_tower(2, 1, (3,))
-    gen, verified = build_extended_generator(t, eta=3, r=0, d=2)
-    assert gen.matrix == systematic_form(t.field, restricted_gabidulin(t, 3, 2))
+    rows, verified = build_extended_generator(t, eta=3, r=0, d=2)
+    assert rows == systematic_form(t.field, restricted_gabidulin(t, 3, 2))
     assert verified
 
 
 def test_extended_generator_criterion_case():
     t = build_tower(2, 1, (3,))
-    gen, verified = build_extended_generator(t, eta=4, r=1, d=2)
+    rows, verified = build_extended_generator(t, eta=4, r=1, d=2)
     assert verified
-    assert gen.matrix[0][3] == 0
+    assert rows[0][3] == 0
     for nu in (0, 1):
-        assert mrd_check(t, gen.removal_submatrix(nu), 2 + nu)
+        assert mrd_check(t, _removal(rows, 4, 1, nu), 2 + nu)
 
 
 def test_extended_generator_two_level():
     t = build_tower(2, 1, (2, 6))
-    gen, verified = build_extended_generator(t, eta=5, r=1, d=3)
+    rows, verified = build_extended_generator(t, eta=5, r=1, d=3)
     assert verified
     # column subfield structure: entries of column j with j < t_1 stay in F_4
-    for i in range(gen.k):
-        for j in range(gen.k, 2):
-            assert t.in_level(gen.matrix[i][j], 1)
+    for i in range(len(rows)):
+        for j in range(len(rows), 2):
+            assert t.in_level(rows[i][j], 1)
     for nu in (0, 1):
-        assert mrd_check(t, gen.removal_submatrix(nu), 3 + nu)
+        assert mrd_check(t, _removal(rows, 5, 1, nu), 3 + nu)
 
 
 def test_extended_generator_preconditions():
@@ -393,20 +399,86 @@ def test_extended_generator_preconditions():
         build_extended_generator(t, eta=9, r=0, d=2)  # eta - r > t_l
 
 
-def test_staircase_metadata_zero_pattern():
-    t = build_tower(2, 1, (4,))
-    gen, _ = build_extended_generator(t, eta=6, r=2, d=2)
-    r, eta, _ = gen.staircase
+@pytest.mark.parametrize(
+    "chain, eta, r, d",
+    [((4,), 6, 2, 2), ((3,), 4, 1, 2), ((4,), 5, 1, 2), ((5,), 6, 1, 3),
+     ((3,), 5, 2, 1), ((2, 6), 5, 1, 3), ((4, 8), 7, 2, 3)],
+    ids=["t4-eta6-r2-d2", "t3-eta4-r1-d2", "t4-eta5-r1-d2", "t5-eta6-r1-d3",
+         "t3-eta5-r2-d1", "t2.6-eta5-r1-d3", "t4.8-eta7-r2-d3"],
+)
+def test_staircase_zero_pattern(chain, eta, r, d):
+    t = build_tower(2, 1, chain)
+    rows, verified = build_extended_generator(t, eta=eta, r=r, d=d)
+    assert verified
+    assert len(rows) == eta - r - d + 1 and all(len(row) == eta for row in rows)
     for i in range(r):
         for j in range(eta - r + i, eta):
-            assert gen.matrix[i][j] == 0
-    with pytest.raises(ConstructionError):
-        SystematicGenerator(
-            tower=t,
-            matrix=gen.matrix,
-            delta=2,
-            staircase=(3, 6, 2),  # wrong pattern for this matrix
-        )
+            assert rows[i][j] == 0
+    for nu in range(r + 1):
+        assert mrd_check(t, _removal(rows, eta, r, nu), d + nu)
+
+
+def test_systematic_generator_requires_the_identity_block():
+    t = build_tower(2, 1, (4,))
+    rows, _ = build_extended_generator(t, eta=6, r=2, d=2)
+    SystematicGenerator(matrix=rows, provenance={})
+    flipped = ((0,) + rows[0][1:],) + rows[1:]
+    with pytest.raises(ConstructionError, match="left block is not the identity"):
+        SystematicGenerator(matrix=flipped, provenance={})
+
+
+@pytest.mark.parametrize("eta, r", [(3, 0), (4, 1)])
+@pytest.mark.parametrize(
+    "fault, message",
+    [(lambda S: ((S[0][0], 1) + S[0][2:],) + S[1:], "left block is not the identity"),
+     (lambda S: tuple(row + (0,) for row in S), "staircase width mismatch")],
+    ids=["left-block", "width"],
+)
+def test_extended_generator_checks_the_rows_it_assembles(monkeypatch, eta, r, fault, message):
+    # Corrupt only the level-0 systematic form, from which the rows are assembled.
+    calls = []
+
+    def corrupted(field, G):
+        calls.append(G)
+        S = systematic_form(field, G)
+        return fault(S) if len(calls) == 1 else S
+
+    monkeypatch.setattr(fdrm.constructions, "systematic_form", corrupted)
+    with pytest.raises(ConstructionError, match=message):
+        build_extended_generator(build_tower(2, 1, (3,)), eta=eta, r=r, d=2)
+
+
+def test_staircase_checks_the_generator_row_count(monkeypatch):
+    t = build_tower(2, 1, (2, 6))
+    rows, _ = build_extended_generator(t, eta=4, r=0, d=3)
+    monkeypatch.setattr(fdrm.constructions, "build_extended_generator",
+                        lambda *args, **kw: (rows[:-1], True))
+    with pytest.raises(CodeError, match="row count mismatch"):
+        construct_staircase(t, FerrersDiagram((4, 4, 6, 6)), delta=3, r=0, w=2)
+
+
+def _column_level_reference(tower, j):
+    """The level rule as first written, with its two special cases."""
+    if tower.levels == 1:
+        return 1
+    if j >= tower.level_degree(tower.levels - 1):
+        return tower.levels
+    for x in range(1, tower.levels + 1):
+        if j < tower.level_degree(x):
+            return x
+    return tower.levels
+
+
+@pytest.mark.parametrize(
+    "p, s, chain",
+    [(2, 1, (3,)), (2, 2, (2,)), (2, 1, (1, 2)), (2, 1, (2, 6)), (2, 2, (2, 4)),
+     (3, 1, (2, 6)), (2, 1, (1, 2, 4)), (2, 1, (2, 4, 8)), (2, 1, (2, 4, 12))],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_column_level_matches_the_reference(p, s, chain):
+    t = build_tower(p, s, chain)
+    for j in range(t.top_degree + 3):
+        assert fdrm.constructions._column_level(t, j) == _column_level_reference(t, j)
 
 
 # -- staircase construction --

@@ -1,6 +1,7 @@
 """Property tests: certificates round-trip byte for byte, the canonical
 basis depends only on the code, not on the order of its basis, and
-`fdrm verify` answers a mutated certificate with an exit code and one line.
+`fdrm verify` answers a mutated certificate, and `fdrm construct` a mutated
+request, with an exit code and one line.
 
 Random codes: diagrams of 1 to 4 columns of heights 1 to 5, and random
 independent bases supported on them over GF(2), GF(3), GF(4), GF(5) and
@@ -158,6 +159,67 @@ def test_verify_answers_mutated_certificates_with_one_line(cert):
             code = main(["verify", str(path), "--budget", "4096",
                          "--json", str(Path(tmp) / "out.json")])
         took = time.perf_counter() - start
+    assert code in (0, 1, 2, 3, 4)
+    assert took < 2, took
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0], err.getvalue()
+
+
+# -- hardening: mutated requests --
+
+# The README's staircase request.
+REQUEST = {"construction": "staircase", "field": {"p": 2, "s": 1}, "chain": [2, 6],
+           "diagram": "[4,4,6,6]", "delta": 3, "r": 0, "w": 2, "seed": 0}
+RETYPED = st.one_of(
+    st.none(), st.text(max_size=6), st.floats(), st.booleans(),
+    st.lists(st.integers(-3, 9), max_size=3), st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+@st.composite
+def mutated_requests(draw):
+    req = json.loads(json.dumps(REQUEST))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "perturb", "chain", "field"]))
+        event(kind)
+        if kind == "drop":
+            path = draw(st.sampled_from(list(_paths(req))))
+            del _parent(req, path)[path[-1]]
+        elif kind == "retype":
+            path = draw(st.sampled_from(list(_paths(req))))
+            _parent(req, path)[path[-1]] = draw(RETYPED)
+        elif kind == "perturb":
+            key = draw(st.sampled_from(["delta", "r", "w", "seed"]))
+            if type(req.get(key)) is int:
+                req[key] += draw(st.integers(-3, 3))
+        elif kind == "chain":
+            if type(req.get("chain")) is list and req["chain"]:
+                at = draw(st.integers(0, len(req["chain"]) - 1))
+                if type(req["chain"][at]) is int:
+                    req["chain"][at] += draw(st.integers(-3, 3))
+        else:
+            if type(req.get("field")) is not dict:
+                req["field"] = {}
+            key = draw(st.sampled_from(["p", "s", "q", "chain"]))
+            req["field"][key] = draw(st.one_of(
+                st.integers(-2, 9), st.sampled_from([16, 27, 2**61 - 1, 2**64]),
+                st.lists(st.integers(-1, 8), max_size=3), RETYPED))
+    return req
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(mutated_requests())
+def test_construct_answers_mutated_requests_with_one_line(req):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "req.json"
+        path.write_text(json.dumps(req))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["construct", "--request", str(path), "--budget", "4096",
+                         "--json", str(Path(tmp) / "out.json")])
+        took = time.perf_counter() - start
+    event(f"exit {code}")
     assert code in (0, 1, 2, 3, 4)
     assert took < 2, took
     lines = err.getvalue().splitlines()
