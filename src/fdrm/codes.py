@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import _gf2
-from .fields import DEFAULT_MAX_DEGREE, GF, FieldTower, eliminate, gf
+from .fields import GF, FieldTower, eliminate, gf
 from .ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
 
 DEFAULT_BUDGET = 1 << 24
@@ -559,22 +559,15 @@ def code_from_certificate(data: dict) -> FdrmCode:
     Only `entry_field`, `diagram`, `dimension`, `delta`, `verified`,
     `provenance` and `basis` are read; the `field` block is informational,
     and `verified` is type-checked and dropped, since only `certify` can
-    tell.  The entry field is checked against degree DEFAULT_MAX_DEGREE and
-    order 2^DEFAULT_MAX_DEGREE before it is built, since building a field
-    costs time that grows with its order.  Every malformed certificate
-    raises CodeError, DiagramError or FieldError.
+    tell.  `gf` refuses an entry field past the size cap before building
+    it.  Every malformed certificate raises CodeError, DiagramError or
+    FieldError.
     """
     if type(data) is not dict:
         raise CodeError(f"certificate must be a JSON object, not {type(data).__name__}")
     json_value(data, "verified", bool, False)
     ef = json_value(data, "entry_field", dict)
-    p, degree = json_value(ef, "p", int), json_value(ef, "degree", int)
-    if not 1 <= degree <= DEFAULT_MAX_DEGREE or abs(p) ** degree > 1 << DEFAULT_MAX_DEGREE:
-        raise CodeError(
-            f"entry field GF({p}^{degree}) is outside degree 1..{DEFAULT_MAX_DEGREE}"
-            f" and order 2^{DEFAULT_MAX_DEGREE}"
-        )
-    field = gf(p, degree)
+    field = gf(json_value(ef, "p", int), json_value(ef, "degree", int))
     if "modulus" in ef and tuple(json_value(ef, "modulus", list)) != field.modulus:
         raise CodeError("certificate modulus does not match canonical modulus")
     diagram = check_ambient(FerrersDiagram.parse(json_value(data, "diagram", str)))

@@ -27,7 +27,6 @@ it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -44,7 +43,7 @@ from .codes import (
     mrd_check,
     verify_support,
 )
-from .fields import GF, FieldTower, build_tower, eliminate, gf
+from .fields import GF, FieldTower, build_tower, eliminate
 from .ferrers import FerrersDiagram, combine_diagrams, singleton_bound
 from .linalg import rank, systematic_form
 
@@ -131,8 +130,13 @@ def restricted_gabidulin(tower: FieldTower, n: int, delta: int) -> tuple[tuple[i
 # one W per column space suffices, far fewer than the codewords.
 
 
-def _subspace_reps(base: GF, n: int, k: int):
-    """RREF representatives of the k-dimensional subspaces of F_q^n."""
+def _witnesses(tower: FieldTower, n: int, k: int) -> list[list[tuple]]:
+    """groups[c]: one W per k-subspace of F_q^n whose reduced echelon form
+    ends at column c, by pivots, then free entries in product order.  A W is
+    its k rows as (column, entry) pairs over the nonzero entries, each entry
+    embedded in the top field, as `_gw_invertible` reads it."""
+    emb = [tower.base_embed(v) for v in range(tower.base.order)]
+    groups: list[list[tuple]] = [[] for _ in range(n)]
     for pivots in itertools.combinations(range(n), k):
         free = [
             (i, j)
@@ -140,43 +144,14 @@ def _subspace_reps(base: GF, n: int, k: int):
             for j in range(pivots[i] + 1, n)
             if j not in pivots
         ]
-        for fill in itertools.product(range(base.order), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
+        for fill in itertools.product(range(tower.base.order), repeat=len(free)):
+            rows = [[(pc, emb[1])] for pc in pivots]
             for (i, j), v in zip(free, fill):
-                rows[i][j] = v
-            yield rows
-
-
-@functools.lru_cache(maxsize=None)
-def _witness_groups(p: int, s: int, n: int, k: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-    """Kernel witnesses grouped by their rightmost involved generator column.
-
-    groups[c] holds the RREF representatives (rows of W^T) whose support
-    ends exactly at column c, so a candidate column can be screened as soon
-    as it is sampled.
-    """
-    base = gf(p, s)
-    groups: list[list] = [[] for _ in range(n)]
-    for rows in _subspace_reps(base, n, k):
-        support_max = max(j for r in rows for j, v in enumerate(r) if v)
-        groups[support_max].append(tuple(tuple(r) for r in rows))
-    return tuple(tuple(g) for g in groups)
-
-
-def _prepare_witnesses(tower: FieldTower, group) -> tuple:
-    """Embed witness coefficients once: ((col, value) pairs per GW column)."""
-    emb = [tower.base_embed(v) for v in range(tower.base.order)]
-    out = []
-    for w_rows in group:
-        out.append(
-            tuple(
-                tuple((j, emb[wv]) for j, wv in enumerate(wr) if wv)
-                for wr in w_rows
-            )
-        )
-    return tuple(out)
+                if v:
+                    rows[i].append((j, emb[v]))
+            w = tuple(map(tuple, rows))
+            groups[max(r[-1][0] for r in w)].append(w)
+    return groups
 
 
 def _det_nonzero(f, gw, k: int) -> bool:
@@ -208,15 +183,15 @@ def _det_nonzero(f, gw, k: int) -> bool:
     return len(eliminate(gw, f)) == k
 
 
-def _gw_invertible(tower: FieldTower, cols, prepared) -> bool:
-    """True iff G W is invertible; G given by column tuples, W prepared."""
+def _gw_invertible(tower: FieldTower, cols, w) -> bool:
+    """True iff G W is invertible; G given by column tuples, W by `_witnesses`."""
     f = tower.field
     add, mul = f.add, f.mul
     k = len(cols[0])
     gw = []
     for i in range(k):
         row = []
-        for pairs in prepared:
+        for pairs in w:
             acc = 0
             for j, ev in pairs:
                 v = cols[j][i]
@@ -267,13 +242,14 @@ def systematic_mrd_with_first_column(
 
     Existence is guaranteed for independent (1, a_1, ..., a_k); the cited
     construction is replaced by a column-incremental search: each free
-    column is sampled until the kernel witnesses ending at it pass, with
-    global restarts.  The search runs in one fixed pseudo-random order, so
-    its cost does not depend on `seed`.  The seed then picks an isometric
+    column c is sampled until the witnesses `_witnesses` groups at c pass,
+    with global restarts, in one fixed pseudo-random order, so the search
+    costs the same for every `seed`.  The seed then picks an isometric
     copy: F_q-column operations that map each free column to an invertible
     combination of the free columns plus any combination of the first k+1
     columns preserve every codeword's rank and fix [I | a].  The result is
-    checked exhaustively.  The first column is exact, never approximated.
+    checked exhaustively, and a code past `budget` is refused before the
+    search.  The first column is exact, never approximated.
     """
     a = tuple(tower.field.check(x) for x in a)
     m = tower.top_degree
@@ -285,47 +261,42 @@ def systematic_mrd_with_first_column(
     if not tower.independent_over_level((1,) + a, 0):
         raise ConstructionError("(1, a_1, ..., a_k) dependent over F_q")
 
-    groups = [
-        _prepare_witnesses(tower, g) for g in _witness_groups(tower.p, tower.s, n, k)
-    ]
+    total = tower.base.order ** (m * k)
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
+
+    groups = _witnesses(tower, n, k)
     cols: list[tuple[int, ...] | None] = [
         tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
     ]
     cols.append(a)
     cols.extend([None] * (n - k - 1))
-    for c in range(k + 1):
-        for prepared in groups[c]:
-            if not _gw_invertible(tower, cols, prepared):
-                raise CodeError(
-                    "prescribed column fails a fixed witness despite the "
-                    "independence precondition"
-                )
+    if not all(_gw_invertible(tower, cols, w) for g in groups[: k + 1] for w in g):
+        raise CodeError(
+            "prescribed column fails a fixed witness despite the "
+            "independence precondition"
+        )
 
     rng = random.Random(0)
     attempts = 0
     # Most sampled prefixes leave no valid next column at all (at q^m = 32,
     # k = 2 about 7 in 8 do), so a column gets few tries before a restart.
     per_column = 32
-    while True:
-        done = True
-        for c in range(k + 1, n):
-            placed = False
-            for _ in range(per_column):
-                attempts += 1
-                if attempts > SEARCH_BUDGET:
-                    raise ConstructionError(
-                        f"no verified candidate within {SEARCH_BUDGET} sampled "
-                        "columns, although one exists: the search gave up"
-                    )
-                cols[c] = tuple(rng.randrange(tower.field.order) for _ in range(k))
-                if all(_gw_invertible(tower, cols, w) for w in groups[c]):
-                    placed = True
-                    break
-            if not placed:
-                done = False
+    c = k + 1
+    while c < n:
+        for _ in range(per_column):
+            attempts += 1
+            if attempts > SEARCH_BUDGET:
+                raise ConstructionError(
+                    f"no verified candidate within {SEARCH_BUDGET} sampled "
+                    "columns, although one exists: the search gave up"
+                )
+            cols[c] = tuple(rng.randrange(tower.field.order) for _ in range(k))
+            if all(_gw_invertible(tower, cols, w) for w in groups[c]):
+                c += 1
                 break
-        if done:
-            break
+        else:
+            c = k + 1
 
     G = _free_column_isometry(tower, cols, random.Random(seed))
     if not mrd_check(tower, G, delta, budget):

@@ -176,14 +176,19 @@ class GF:
 
     Elements are ints in [0, p**n).  For orders up to 2**20 discrete
     log/antilog tables back multiplication; beyond that polynomial
-    arithmetic is used directly.
+    arithmetic is used directly.  Building costs time that grows with the
+    order, so degree 1..DEFAULT_MAX_DEGREE and order 2^DEFAULT_MAX_DEGREE
+    are checked first, before p is tested for primality.
     """
 
     def __init__(self, p: int, n: int):
+        if not 1 <= n <= DEFAULT_MAX_DEGREE or abs(p) ** n > 1 << DEFAULT_MAX_DEGREE:
+            raise FieldError(
+                f"GF({p}^{n}) is outside degree 1..{DEFAULT_MAX_DEGREE}"
+                f" and order 2^{DEFAULT_MAX_DEGREE}"
+            )
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
-        if n < 1:
-            raise FieldError("extension degree must be >= 1")
         self.p = p
         self.degree = n
         self.order = p**n
@@ -618,8 +623,7 @@ def build_tower(p: int, s: int, chain: tuple[int, ...]) -> FieldTower:
 
     `chain` is (t_1, ..., t_l); t_0 = 1 is implied.  Each t_{x-1} must
     divide t_x.  Deterministic for fixed inputs: canonical modulus, greedy
-    canonical level bases.  The top field's degree and order are checked
-    against DEFAULT_MAX_DEGREE before p is tested for primality.
+    canonical level bases.  `GF` checks the top field's size cap and p.
     """
     if s < 1:
         raise FieldError("base exponent s must be >= 1")
@@ -636,15 +640,6 @@ def build_tower(p: int, s: int, chain: tuple[int, ...]) -> FieldTower:
     if len(set(chain)) != len(chain):
         raise FieldError(f"chain {chain} must be strictly increasing")
     n = s * chain[-1]
-    if n > DEFAULT_MAX_DEGREE:
-        raise FieldError(
-            f"top field degree {n} exceeds enumeration budget {DEFAULT_MAX_DEGREE}"
-        )
-    if p**n > 1 << DEFAULT_MAX_DEGREE:
-        raise FieldError(f"top field GF({p}^{n}) exceeds order 2^{DEFAULT_MAX_DEGREE}")
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
-
     field = gf(p, n)
     base = gf(p, s)
 

@@ -155,6 +155,17 @@ def test_combine_dimension_mismatch_exit(tmp_path, capsys):
     assert main(["combine", str(c1), str(c2), "--m3", "3", "--n3", "3"]) == 3
 
 
+def test_thm23_over_budget_is_refused_before_the_search(capsys):
+    # k = 6 over GF(2^10): 2^60 codewords, and 53.7M witnesses the search
+    # would build before its closing MRD check refused the same budget.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--construction", "thm23",
+                         "-F", "[1,2,3,4,5,6,9,10,10,10]", "-d", "5", "-q", "2")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 4 and out == ""
+    assert err.startswith("fdrm: ") and err.count("\n") == 1
+
+
 def test_verify_at_scale_exits_4(tmp_path, capsys):
     path = tmp_path / "big.json"
     assert main(["construct", "--construction", "cor28",

@@ -104,32 +104,54 @@ def mrd_witness_check(tower, matrix, delta):
 
     The code of a full-rank k x n generator has a nonzero codeword of rank
     below n - k + 1 iff G W is singular for some full-column-rank W over
-    F_q; this enumerates one W per column space, with the witness helpers
-    of the prescribed-column search.
+    F_q; this enumerates one W per column space, with the witness table of
+    the prescribed-column search.
     """
     k, n = len(matrix), len(matrix[0])
     if delta != n - k + 1:
         return False
     cols = tuple(zip(*matrix))
     return all(
-        fdrm.constructions._gw_invertible(tower, cols, prepared)
-        for group in fdrm.constructions._witness_groups(tower.p, tower.s, n, k)
-        for prepared in fdrm.constructions._prepare_witnesses(tower, group)
+        fdrm.constructions._gw_invertible(tower, cols, w)
+        for group in fdrm.constructions._witnesses(tower, n, k)
+        for w in group
     )
 
 
-def test_witness_check_agrees_with_enumeration():
-    # independent exact routes to the same MRD verdict
+@pytest.mark.parametrize(
+    "p, s, chain", [(2, 1, (4,)), (3, 1, (3,)), (2, 2, (3,))],
+    ids=["q2-t4", "q3-t3", "q4-t3"],
+)
+def test_witness_check_agrees_with_enumeration(p, s, chain):
+    # independent exact routes to the same MRD verdict; at q = 4 the
+    # witnesses' entries go through a non-trivial base embedding
     rng = random.Random(12)
-    t = build_tower(2, 1, (4,))
+    t = build_tower(p, s, chain)
+    t_l = t.top_degree
     for _ in range(20):
-        k = rng.randint(1, 3)
-        n = rng.randint(k + 1, 4)
+        k = rng.randint(1, t_l - 1)
+        n = rng.randint(k + 1, t_l)
         G = tuple(
-            tuple(int(i == j) for j in range(k)) + tuple(rng.randrange(16) for _ in range(n - k))
+            tuple(int(i == j) for j in range(k))
+            + tuple(rng.randrange(t.field.order) for _ in range(n - k))
             for i in range(k)
         )
         assert mrd_witness_check(t, G, n - k + 1) == mrd_check(t, G, n - k + 1)
+
+
+@pytest.mark.parametrize(
+    "p, s, n, k",
+    [(2, 1, 5, 2), (2, 1, 4, 1), (3, 1, 4, 1), (2, 1, 6, 3), (2, 2, 3, 2), (3, 1, 4, 3)],
+)
+def test_witnesses_are_one_per_subspace(p, s, n, k):
+    t = build_tower(p, s, (n,))
+    groups = fdrm.constructions._witnesses(t, n, k)
+    assert sum(map(len, groups)) == fdrm.codes._gaussian_binomial(n, k, t.base.order)
+    embedded = {t.base_embed(v) for v in range(t.base.order)} - {0}
+    for c, group in enumerate(groups):
+        for w in group:
+            assert len(w) == k and max(j for row in w for j, _ in row) == c
+            assert all(v in embedded for row in w for _, v in row)
 
 
 def mat_mul(field, A, B):
@@ -202,6 +224,23 @@ def test_prescribed_column_search_cost_independent_of_seed():
     for g in gens:
         assert tuple(zip(*g.matrix))[:3] == ((1, 0), (0, 1), a)
         assert mrd_check(t, g.matrix, 4)
+
+
+@pytest.mark.parametrize(
+    "p, gammas, delta, attempts",
+    [(2, (2, 3, 4, 4), 4, 4), (2, (2, 2, 4, 5, 5), 4, 620), (3, (2, 3, 4, 4), 4, 4)],
+    ids=["2344-q2", "22455-q2", "2344-q3"],
+)
+def test_prescribed_search_attempts_are_pinned(monkeypatch, p, gammas, delta, attempts):
+    # The benchmark's prescribed-column instances: the search draws its
+    # columns in one fixed order, so it samples a fixed number of them.
+    found = []
+    search = fdrm.constructions.systematic_mrd_with_first_column
+    monkeypatch.setattr(fdrm.constructions, "systematic_mrd_with_first_column",
+                        lambda *args, **kw: found.append(search(*args, **kw)) or found[-1])
+    diagram = FerrersDiagram(gammas)
+    construct_prescribed_column(tower_for_prescribed(p, 1, diagram, delta), diagram, delta)
+    assert [g.provenance["attempts"] for g in found] == [attempts]
 
 
 def test_prescribed_column_dependence_rejected():
@@ -379,16 +418,37 @@ def test_extended_generator_criterion_case():
         assert mrd_check(t, _removal(rows, 4, 1, nu), 2 + nu)
 
 
+def _assert_column_levels(t, rows, eta):
+    """Each column j >= kappa lies in the first level x with j < t_x, or in
+    the top level past t_l; returns the number of entries checked."""
+    checked = 0
+    for j in range(len(rows), eta):
+        x = next((x for x in range(1, t.levels + 1) if j < t.level_degree(x)), t.levels)
+        for row in rows:
+            assert t.in_level(row[j], x), (j, x)
+            checked += 1
+    return checked
+
+
 def test_extended_generator_two_level():
     t = build_tower(2, 1, (2, 6))
     rows, verified = build_extended_generator(t, eta=5, r=1, d=3)
     assert verified
-    # column subfield structure: entries of column j with j < t_1 stay in F_4
-    for i in range(len(rows)):
-        for j in range(len(rows), 2):
-            assert t.in_level(rows[i][j], 1)
+    assert _assert_column_levels(t, rows, 5) == 6
     for nu in (0, 1):
         assert mrd_check(t, _removal(rows, 5, 1, nu), 3 + nu)
+
+
+def test_extended_generator_three_level_columns():
+    # kappa = 2 = t_1, so columns 2 and 3 must lie in F_16 and columns 4
+    # and 5 in F_256; three entries of columns 2 and 3 really need F_16.
+    t = build_tower(2, 1, (2, 4, 8))
+    rows, verified = build_extended_generator(t, eta=6, r=1, d=4)
+    assert verified
+    assert _assert_column_levels(t, rows, 6) == 8
+    assert all(not t.in_level(rows[i][j], 1) for i, j in ((0, 3), (1, 2), (1, 3)))
+    for nu in (0, 1):
+        assert mrd_check(t, _removal(rows, 6, 1, nu), 4 + nu)
 
 
 def test_extended_generator_preconditions():

@@ -58,3 +58,24 @@ def test_every_export_is_used_outside_the_tests():
         and not any(re.search(rf"\b{name}\b", t) for t in _texts_without(name))
     ]
     assert unused == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A private function or class that nothing in src/fdrm names besides its
+    # own definition is dead code, whatever the tests still call.
+    sources = {p: p.read_text() for p in sorted((ROOT / "src" / "fdrm").glob("*.py"))}
+    unused = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            lines = text.splitlines()
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            del lines[start - 1 : node.end_lineno]
+            rest = ["\n".join(lines)] + [t for p, t in sources.items() if p != path]
+            if not any(re.search(rf"\b{name}\b", t) for t in rest):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
