@@ -1,10 +1,12 @@
-"""Vectorized GF(2) rank enumeration kernels.
+"""Vectorized GF(2) rank kernels: exhaustive cosets and random probes.
 
-Codewords of a binary coset (an offset plus the span of a basis) are
-generated in Gray-code order (one basis matrix XORed per step) and ranked
-in numpy batches.  Rows of an m x n binary matrix are packed into one
-unsigned integer each, so a batch is a (B, m) array and elimination runs
-as m column sweeps over the whole batch.
+Rows of an m x n binary matrix are packed into one unsigned integer each,
+bit j = column j.  A batch of B matrices is an (m, B) array: row i of
+every matrix, contiguous over the batch, so `rank_batch` eliminates with
+m whole-row sweeps.  Codewords of a binary coset (an offset plus the span
+of a basis) are generated in Gray-code order (one basis matrix XORed per
+step); random probes assemble each codeword from byte-group XOR tables of
+the basis.
 """
 
 from __future__ import annotations
@@ -39,19 +41,22 @@ def pack_rows(rows, ncols: int) -> tuple[int, ...]:
 
 
 def rank_batch(rows: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, m) batch of packed binary matrices (consumes `rows`)."""
-    a = rows
-    b, m = a.shape
+    """Ranks of a batch of packed binary matrices, given as an (m, B) array
+    whose row i holds row i of every matrix.
+
+    Sweep i adds row i, with its lowest set bit as pivot, to every later
+    row that has that bit set.  The sweeps work in place, so `rows` is
+    consumed.
+    """
+    m, b = rows.shape
     rank = np.zeros(b, dtype=np.uint8)
     for i in range(m):
-        r = a[:, i]
-        nz = r != 0
-        rank += nz
+        r = rows[i]
+        rank += r != 0
         if i + 1 < m:
-            low = r & (~r + np.asarray(1, dtype=a.dtype))
-            rest = a[:, i + 1 :]
-            hit = (rest & low[:, None]) != 0
-            rest ^= np.where(hit, r[:, None], np.asarray(0, dtype=a.dtype))
+            low = r & (~r + np.asarray(1, dtype=rows.dtype))
+            rest = rows[i + 1 :]
+            rest ^= r * ((rest & low) != 0)
     return rank
 
 
@@ -77,9 +82,9 @@ def _coset_ranks(basis_rows, ncols: int, offset):
     n_low = 1 << low_bits
     flips = _gray_flip_indices(1, n_low)
     steps = basis[flips]
-    low_table = np.zeros((n_low, m), dtype=dtype)
     np.bitwise_xor.accumulate(steps, axis=0, out=steps)
-    low_table[1:] = steps
+    low_table = np.zeros((m, n_low), dtype=dtype)
+    low_table[:, 1:] = steps.T
 
     high = K - low_bits
     for outer in range(1 << high):
@@ -91,7 +96,7 @@ def _coset_ranks(basis_rows, ncols: int, offset):
                 base ^= basis[low_bits + j]
             o >>= 1
             j += 1
-        yield rank_batch(low_table ^ base[None, :])
+        yield rank_batch(low_table ^ base[:, None])
 
 
 def min_rank_exhaustive(
@@ -128,6 +133,42 @@ def rank_histogram(basis_rows, ncols: int, *, offset) -> list[int]:
     return hist.tolist()
 
 
+def _sampled_words(basis_rows, ncols: int, samples: int, seed: int):
+    """Packed (m, b) batches of `samples` random nonzero GF(2) combinations.
+
+    Each chunk of b <= 2^14 messages is drawn as a (b, K) 0/1 array, and a
+    zero message gets its first digit set.  The words are assembled from
+    byte-group tables: table g holds, at column v, the XOR of basis
+    matrices 8g + i over the set bits i of v, and each message's bytes
+    pick one column per table.
+    """
+    K = len(basis_rows)
+    m = len(basis_rows[0])
+    dtype = _dtype_for(ncols)
+    basis = np.array(basis_rows, dtype=dtype)
+    tables = []
+    for g in range(0, K, 8):
+        table = np.zeros((m, 256), dtype=dtype)
+        for i, row in enumerate(basis[g : g + 8]):
+            table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ row[:, None]
+        tables.append(table)
+    rng = np.random.default_rng(seed)
+    chunk = 1 << 14
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        sel = rng.integers(0, 2, size=(b, K), dtype=np.uint8)
+        byte = np.packbits(sel, axis=1, bitorder="little")
+        del sel  # not held while the consumer ranks the words
+        byte[~byte.any(axis=1), 0] = 1  # nonzero message guarantee: digit 0
+        # np.take keeps the (m, b) result C-ordered; table[:, idx] would not
+        words = np.take(tables[0], byte[:, 0], axis=1)
+        for g in range(1, len(tables)):
+            words ^= np.take(tables[g], byte[:, g], axis=1)
+        yield words
+        done += b
+
+
 def min_rank_sampled(
     basis_rows,
     ncols: int,
@@ -135,22 +176,7 @@ def min_rank_sampled(
     seed: int,
 ) -> int:
     """Minimum rank over `samples` random nonzero GF(2) combinations."""
-    K = len(basis_rows)
-    m = len(basis_rows[0])
-    dtype = _dtype_for(ncols)
-    basis = np.array(basis_rows, dtype=dtype)
-    rng = np.random.default_rng(seed)
-    best = m + 1
-    chunk = 1 << 14
-    zero = np.asarray(0, dtype=dtype)
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        sel = rng.integers(0, 2, size=(b, K), dtype=np.uint8)
-        sel[sel.sum(axis=1) == 0, 0] = 1  # nonzero message guarantee
-        words = np.zeros((b, m), dtype=dtype)
-        for i in range(K):
-            words ^= np.where(sel[:, i : i + 1].astype(bool), basis[i][None, :], zero)
-        best = min(best, int(rank_batch(words).min()))
-        done += b
-    return best
+    return min(
+        int(rank_batch(words).min())
+        for words in _sampled_words(basis_rows, ncols, samples, seed)
+    )

@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _gf2
 from .fields import GF, FieldTower, eliminate, gf
 from .ferrers import DiagramError, FerrersDiagram, full_diagram, singleton_bound
@@ -329,38 +331,106 @@ def distance_at_least(code: FdrmCode, delta: int, budget: int = DEFAULT_BUDGET) 
     return _min_rank(code, budget, floor=delta) >= delta
 
 
+def _rank_tables(field: GF):
+    """The entry field's mul, sub and inv tables as uint8 numpy arrays, for
+    orders up to 256 (inv[0] = 0)."""
+    q, p = field.order, field.p
+    exp = np.array([field.alpha_pow(i) for i in range(q - 1)])
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+    mul[0, :] = mul[:, 0] = 0
+    inv = exp[-log % (q - 1)]
+    inv[0] = 0
+    powers = p ** np.arange(field.degree)
+    digits = np.arange(q)[:, None] // powers % p
+    sub = ((digits[:, None, :] - digits[None, :, :]) % p) @ powers
+    return mul.astype(np.uint8), sub.astype(np.uint8), inv.astype(np.uint8)
+
+
+def _table_ranks(words, mul, sub, inv) -> np.ndarray:
+    """Ranks of an (m, n, B) uint8 batch of matrices over a field of order
+    <= 256, row i of every matrix at words[i], from `_rank_tables`.
+
+    Sweep i takes the first nonzero entry of row i as its pivot and
+    subtracts the multiple of row i that clears the pivot column from every
+    later row, like `_gf2.rank_batch`.  The sweeps work in place, so
+    `words` is consumed.
+    """
+    m, n, b = words.shape
+    rank = np.zeros(b, dtype=np.int64)
+    cols = np.arange(b)
+    for i in range(m):
+        r = words[i]
+        nz = r != 0
+        rank += nz.any(axis=0)
+        if i + 1 < m:
+            piv = nz.argmax(axis=0)
+            rest = words[i + 1 :]
+            factor = mul[rest[:, piv, cols], inv[r[piv, cols]]]
+            rest[:] = sub[rest, mul[factor[:, None, :], r]]
+    return rank
+
+
+def _sampled_ranks(field: GF, m: int, n: int, basis: list, samples: int, seed: int):
+    """Rank arrays of `samples` random nonzero codewords over GF(p)-digits.
+
+    Every sample draws K digits from `random.Random(seed)` in order, again
+    while they are all zero, so a seed keeps its codewords.  A chunk of up
+    to 1024 draws (fewer for large matrices, so a chunk holds at most 2^16
+    base-p digits) becomes the words (digits @ coeffs) % p of the basis
+    entries' base-p coefficients, packed back into field elements, and is
+    ranked by `_table_ranks` (or `_flat_rank` per word past order 256).
+    """
+    p, q, s = field.p, field.order, field.degree
+    K = len(basis)
+    powers = p ** np.arange(s)
+    coeffs = (np.array(basis, dtype=np.int64)[:, :, None] // powers % p).reshape(K, -1)
+    tables = _rank_tables(field) if q <= 256 else None
+    chunk = max(1, min(1024, (1 << 16) // coeffs.shape[1]))
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        digits = np.zeros((b, K), dtype=np.int64)
+        for i in range(b):
+            while True:
+                draw = [rng.randrange(p) for _ in range(K)]
+                if any(draw):
+                    break
+            digits[i] = draw
+        words = digits @ coeffs
+        words %= p
+        words = words.reshape(b, m * n, s) @ powers
+        if tables:
+            batch = np.ascontiguousarray(words.T, dtype=np.uint8).reshape(m, n, b)
+            yield _table_ranks(batch, *tables)
+        else:
+            yield np.array([_flat_rank(field, n, w) for w in words.tolist()])
+        done += b
+
+
 def sampled_min_rank(
     code: FdrmCode, samples: int, seed: int = 0
 ) -> int:
-    """Minimum rank over random nonzero codewords (probe, not a proof)."""
+    """Minimum rank over random nonzero codewords (probe, not a proof).
+
+    Over GF(2) the packed kernel draws numpy messages in chunks of 2^14;
+    over any other entry field the digits come from `random.Random(seed)`
+    in chunks of at most 1024.  Either way a seed draws the same codewords in the
+    same order whatever the chunking.
+    """
     if samples < 1:
         raise CodeError(f"a probe needs at least one sample, got {samples}")
     if code.dimension < 1:
         raise CodeError("zero-dimensional code has no nonzero codeword")
-    field, n = code.field, code.diagram.n
+    field, (m, n) = code.field, code.ambient
     packed, basis = _kernel_basis(field, n, code.basis)
     if packed:
         return _gf2.min_rank_sampled(basis, n, samples, seed)
-    p = field.p
-    add = field.add
-    # multiples[i][d] = d * basis[i] for each digit d
-    multiples = [
-        [None] + [[field.mul(d, x) for x in b] for d in range(1, p)] for b in basis
-    ]
-    rng = random.Random(seed)
-    best = min(code.diagram.m, n) + 1
-    K = len(basis)
-    for _ in range(samples):
-        while True:
-            digits = [rng.randrange(p) for _ in range(K)]
-            if any(digits):
-                break
-        cur = [0] * len(basis[0])
-        for d, mult in zip(digits, multiples):
-            if d:
-                cur = [add(a, b) for a, b in zip(cur, mult[d])]
-        best = min(best, _flat_rank(field, n, cur))
-    return best
+    return min(
+        int(ranks.min()) for ranks in _sampled_ranks(field, m, n, basis, samples, seed)
+    )
 
 
 def is_optimal(code: FdrmCode, delta: int, budget: int = DEFAULT_BUDGET) -> bool:

@@ -55,16 +55,16 @@ def _plain_distribution_gf2(code) -> list[int]:
     basis = np.array([_gf2.pack_rows([b[i : i + n] for i in range(0, m * n, n)], n)
                       for b in code.basis], dtype=dtype)
     low = min(k, 16)
-    table = np.zeros((1, m), dtype=dtype)
+    table = np.zeros((m, 1), dtype=dtype)  # one column per combination
     for b in basis[:low]:
-        table = np.concatenate([table, table ^ b])  # all 2^low combinations
+        table = np.concatenate([table, table ^ b[:, None]], axis=1)  # all 2^low
     hist = np.zeros(m + 1, dtype=np.int64)
     for hi in range(1 << (k - low)):
         top = np.zeros(m, dtype=dtype)
         for i in range(k - low):
             if hi >> i & 1:
                 top ^= basis[low + i]
-        hist += np.bincount(_gf2.rank_batch(table ^ top), minlength=m + 1)
+        hist += np.bincount(_gf2.rank_batch(table ^ top[:, None]), minlength=m + 1)
     return hist.tolist()[: min(m, n) + 1]
 
 
