@@ -25,6 +25,7 @@ written.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -69,9 +70,7 @@ class FdrmCode:
     def __post_init__(self):
         m, n = self.diagram.m, self.diagram.n
         if not 1 <= self.claimed_delta <= min(m, n):
-            raise CodeError(
-                f"claimed distance {self.claimed_delta} outside 1..{min(m, n)}"
-            )
+            raise CodeError(f"claimed distance {self.claimed_delta} outside 1..{min(m, n)}")
         q = self.field.order
         for b in self.basis:
             if len(b) != m * n:
@@ -117,8 +116,8 @@ def _kernel_basis(field: GF, n: int, flat: list) -> tuple[bool, list]:
     Each row r is followed by alpha^j r for j = 1..degree-1, so block i of
     `degree` rows spans the F_q-line of row i.  Returns (packed, rows):
     GF(2) matrices of at most 64 columns go to the numpy kernels in `_gf2`,
-    one packed int per matrix row; every other code goes to `_flat_rank`
-    as flat row-major entry lists.
+    one packed int per matrix row; every other code goes to the table kernel
+    (`_coset_ranks`, `_sampled_ranks`) as flat row-major entry lists.
     """
     powers = [field.alpha_pow(j) for j in range(1, field.degree)]
     expanded = []
@@ -126,10 +125,8 @@ def _kernel_basis(field: GF, n: int, flat: list) -> tuple[bool, list]:
         expanded.append(row)
         expanded.extend([field.mul(a, x) for x in row] for a in powers)
     if field.p == 2 and field.degree == 1 and n <= 64:
-        return True, [
-            _gf2.pack_rows([r[i : i + n] for i in range(0, len(r), n)], n)
-            for r in expanded
-        ]
+        return True, [_gf2.pack_rows([r[i : i + n] for i in range(0, len(r), n)], n)
+                      for r in expanded]
     return False, expanded
 
 
@@ -138,30 +135,38 @@ def _flat_rank(field: GF, n: int, flat: list) -> int:
     return len(eliminate([flat[i : i + n] for i in range(0, len(flat), n)], field))
 
 
-def _odometer_ranks(field: GF, n: int, offset: list, span: list):
-    """Generic kernel: the rank of every member of `offset` + GF(p)-span(`span`).
+def _coset_ranks(field: GF, m: int, n: int, basis: list, e: int):
+    """Rank arrays of every member of the cosets basis[j] + GF(p)-span(basis[j+e:]),
+    j = 0, e, 2e, ..., in blocks: the walk for every entry field but packed GF(2).
 
-    Matrices are flat row-major entry lists with n columns; the message
-    digits advance as an odometer, so each step adds one basis matrix.
+    A table, built once, holds the p^L digit combinations of the last L
+    rows, L the most that fit one block, the last row's digit fastest, so
+    its first p^k columns combine the last k rows.  A coset of K span rows
+    ranks one block per combination of its first K - L rows: that base,
+    plus its first row, added to the table's first p^min(K, L) columns mod p.
     """
-    add = field.add
-    p = field.p
-    K = len(span)
-    msg = [0] * K
-    cur = offset
-    for _ in range(p**K):
-        yield _flat_rank(field, n, cur)
-        for i in range(K):
-            cur = [add(a, b) for a, b in zip(cur, span[i])]
-            msg[i] += 1
-            if msg[i] < p:
-                break
-            msg[i] = 0
+    p, rows = field.p, len(basis)
+    if not rows:
+        return
+    digits = _digit_rows(field, basis)
+    low = 0
+    while low < rows - e and p ** (low + 1) <= _block_words(field, m, n):
+        low += 1
+    dtype = np.min_scalar_type(2 * p - 2)
+    table = np.zeros((len(digits), 1), dtype=dtype)
+    for row in digits[:, rows - low :].T:  # each later row's digit runs faster
+        steps = (row[:, None] * np.arange(p) % p).astype(dtype)
+        table = ((table[:, :, None] + steps[:, None, :]) % p).reshape(len(digits), -1)
+    tables = _rank_tables(field) if field.order <= 256 else None
+    for j in range(0, rows, e):
+        span = min(rows - j - e, low)
+        high = digits[:, j + e : rows - span]
+        for combo in itertools.product(range(p), repeat=high.shape[1]):
+            base = ((high @ np.array(combo, dtype=np.int64) + digits[:, j]) % p).astype(dtype)
+            yield _word_ranks(field, m, n, (table[:, : p**span] + base[:, None]) % p, tables)
 
 
-def _min_rank(
-    code: FdrmCode, budget: int, floor: int | None, line: int = 1
-) -> int:
+def _min_rank(code: FdrmCode, budget: int, floor: int | None, line: int = 1) -> int:
     """Minimum rank over the nonzero codewords, from the side with less to walk.
 
     The budget counts the claim's q^k' codewords, whichever side is walked.
@@ -169,8 +174,9 @@ def _min_rank(
     Delsarte dual has (q^{mn-k'} - 1)/(q - 1) F_q-lines.  When the dual has
     fewer, `_dual_distribution` walks it in full and the exact minimum is
     read off the code's rank distribution.  Otherwise `_projective_min_rank`
-    runs, and with `floor` set it may stop at the first rank below `floor`,
-    which then only means the claim fails.
+    runs, and with `floor` set may stop at the first block with a rank below
+    `floor`, which then only means the claim fails.  Either side is walked
+    by the packed GF(2) kernel or, over other fields, by `_coset_ranks`.
     """
     kp = code.dimension
     if kp < 1:
@@ -178,9 +184,7 @@ def _min_rank(
     q = code.field.order
     total = q**kp
     if total > budget:
-        raise BudgetExceeded(
-            f"{total} codewords exceed budget {budget}"
-        )
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
     m, n = code.ambient
     if (q ** (m * n - kp) - 1) // (q - 1) < (total - 1) // (q**line - 1):
         dist = _dual_distribution(code)
@@ -200,24 +204,22 @@ def _projective_min_rank(code: FdrmCode, floor: int | None, line: int = 1) -> in
     `line` > 1 is sound only for an F_{q^line}-linear code whose basis
     lists `FieldTower.expand` blocks of generator rows; the default covers
     every code, since each basis matrix spans an F_q-line.  With `floor`,
-    the walk stops once it sees a rank below `floor`.
+    the walk stops after the first coset or block with a rank below `floor`.
     """
     field = code.field
     mrows, n = code.ambient
     packed, basis = _kernel_basis(field, n, code.basis)
     e = field.degree * line
+    if packed:
+        lows = (_gf2.min_rank_exhaustive(basis[j + e :], n, floor=floor, offset=basis[j])
+                for j in range(0, len(basis), e))
+    else:
+        lows = (int(ranks.min()) for ranks in _coset_ranks(field, mrows, n, basis, e))
     best = min(mrows, n) + 1
-    for j in range(0, len(basis), e):
-        offset, span = basis[j], basis[j + e :]
-        if packed:
-            ranks = [_gf2.min_rank_exhaustive(span, n, floor=floor, offset=offset)]
-        else:
-            ranks = _odometer_ranks(field, n, offset, span)
-        for r in ranks:
-            if r < best:
-                best = r
-                if floor is not None and best < floor:
-                    return best
+    for low in lows:
+        best = min(best, low)
+        if floor is not None and best < floor:
+            break
     return best
 
 
@@ -243,18 +245,19 @@ def _dual_rows(code: FdrmCode) -> list[list[int]]:
 
 
 def _rank_histogram(field: GF, m: int, n: int, flat: list) -> list[int]:
-    """Count of codewords of each rank 0..min(m, n) in the F_q-span of the
-    flat rows, from a full walk over one representative per F_q-line."""
+    """Count of codewords of each rank 0..min(m, n) in the F_q-span of the flat
+    rows, from one walk (packed GF(2) or `_coset_ranks`) over a member per F_q-line."""
     reps = [0] * (min(m, n) + 1)
     packed, basis = _kernel_basis(field, n, flat)
     e = field.degree
-    for j in range(0, len(basis), e):
-        offset, span = basis[j], basis[j + e :]
-        if packed:
-            reps = [a + b for a, b in zip(reps, _gf2.rank_histogram(span, n, offset=offset))]
-        else:
-            for r in _odometer_ranks(field, n, offset, span):
-                reps[r] += 1
+    if packed:
+        blocks = (_gf2.rank_histogram(basis[j + e :], n, offset=basis[j])
+                  for j in range(0, len(basis), e))
+    else:
+        blocks = (np.bincount(r, minlength=len(reps)).tolist()
+                  for r in _coset_ranks(field, m, n, basis, e))
+    for block in blocks:
+        reps = [a + b for a, b in zip(reps, block)]
     hist = [(field.order - 1) * c for c in reps]
     hist[0] += 1  # the zero codeword
     return hist
@@ -293,9 +296,7 @@ def _macwilliams(dual: list[int], q: int, kp: int, m: int, n: int) -> list[int]:
             rhs, rem = divmod(rhs, q**-shift)
             if rem:
                 raise CodeError(f"dual rank distribution gives a non-integer A_{s - nu}")
-        a = rhs - sum(
-            x * _gaussian_binomial(s - i, nu, q) for i, x in enumerate(dist)
-        )
+        a = rhs - sum(x * _gaussian_binomial(s - i, nu, q) for i, x in enumerate(dist))
         if a < 0:
             raise CodeError(f"dual rank distribution gives A_{s - nu} = {a} < 0")
         dist.append(a)
@@ -372,22 +373,43 @@ def _table_ranks(words, mul, sub, inv) -> np.ndarray:
     return rank
 
 
+def _block_words(field: GF, m: int, n: int) -> int:
+    """Most words in one block or chunk: 1024, and at most 2^16 base-p digits."""
+    return max(1, min(1024, (1 << 16) // (m * n * field.degree)))
+
+
+def _digit_rows(field: GF, rows: list) -> np.ndarray:
+    """The base-p digits of flat rows over `field`, one column per row: digit
+    t of entry x in row x*s + t (int64)."""
+    digits = np.array(rows, dtype=np.int64)[:, :, None] // field.p ** np.arange(field.degree)
+    return (digits % field.p).reshape(len(rows), -1).T
+
+
+def _word_ranks(field: GF, m: int, n: int, words: np.ndarray, tables) -> np.ndarray:
+    """Ranks of the B matrices whose base-p digits (laid out as `_digit_rows`)
+    are the columns of the (m*n*s, B) array `words`, packed into field
+    elements and ranked by `_table_ranks` with `tables` (`_rank_tables`), or
+    past order 256 (`tables` None) by `_flat_rank` one word at a time."""
+    p, s, b = field.p, field.degree, words.shape[1]
+    dtype = np.uint8 if tables else np.int64
+    elems = (p ** np.arange(s)).astype(dtype) @ words.reshape(m * n, s, b).astype(dtype)
+    if tables:
+        return _table_ranks(elems.reshape(m, n, b), *tables)
+    return np.array([_flat_rank(field, n, w) for w in elems.T.tolist()])
+
+
 def _sampled_ranks(field: GF, m: int, n: int, basis: list, samples: int, seed: int):
     """Rank arrays of `samples` random nonzero codewords over GF(p)-digits.
 
     Every sample draws K digits from `random.Random(seed)` in order, again
-    while they are all zero, so a seed keeps its codewords.  A chunk of up
-    to 1024 draws (fewer for large matrices, so a chunk holds at most 2^16
-    base-p digits) becomes the words (digits @ coeffs) % p of the basis
-    entries' base-p coefficients, packed back into field elements, and is
-    ranked by `_table_ranks` (or `_flat_rank` per word past order 256).
+    while they are all zero, so a seed keeps its codewords.  A chunk of
+    `_block_words` draws becomes the base-p digit words (coeffs @ digits) % p
+    of the basis rows' digits, ranked by `_word_ranks`.
     """
-    p, q, s = field.p, field.order, field.degree
-    K = len(basis)
-    powers = p ** np.arange(s)
-    coeffs = (np.array(basis, dtype=np.int64)[:, :, None] // powers % p).reshape(K, -1)
-    tables = _rank_tables(field) if q <= 256 else None
-    chunk = max(1, min(1024, (1 << 16) // coeffs.shape[1]))
+    p, K = field.p, len(basis)
+    coeffs = _digit_rows(field, basis)
+    tables = _rank_tables(field) if field.order <= 256 else None
+    chunk = _block_words(field, m, n)
     rng = random.Random(seed)
     done = 0
     while done < samples:
@@ -399,20 +421,13 @@ def _sampled_ranks(field: GF, m: int, n: int, basis: list, samples: int, seed: i
                 if any(draw):
                     break
             digits[i] = draw
-        words = digits @ coeffs
+        words = coeffs @ digits.T
         words %= p
-        words = words.reshape(b, m * n, s) @ powers
-        if tables:
-            batch = np.ascontiguousarray(words.T, dtype=np.uint8).reshape(m, n, b)
-            yield _table_ranks(batch, *tables)
-        else:
-            yield np.array([_flat_rank(field, n, w) for w in words.tolist()])
+        yield _word_ranks(field, m, n, words, tables)
         done += b
 
 
-def sampled_min_rank(
-    code: FdrmCode, samples: int, seed: int = 0
-) -> int:
+def sampled_min_rank(code: FdrmCode, samples: int, seed: int = 0) -> int:
     """Minimum rank over random nonzero codewords (probe, not a proof).
 
     Over GF(2) the packed kernel draws numpy messages in chunks of 2^14;
@@ -428,17 +443,13 @@ def sampled_min_rank(
     packed, basis = _kernel_basis(field, n, code.basis)
     if packed:
         return _gf2.min_rank_sampled(basis, n, samples, seed)
-    return min(
-        int(ranks.min()) for ranks in _sampled_ranks(field, m, n, basis, samples, seed)
-    )
+    return min(int(r.min()) for r in _sampled_ranks(field, m, n, basis, samples, seed))
 
 
 def is_optimal(code: FdrmCode, delta: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Dimension meets the diagram bound, support holds, min rank >= delta."""
     bound, _ = singleton_bound(code.diagram, delta)
-    if code.dimension != bound:
-        return False
-    if not verify_support(code):
+    if code.dimension != bound or not verify_support(code):
         return False
     return distance_at_least(code, delta, budget)
 
@@ -458,16 +469,12 @@ def certify(code: FdrmCode, budget: int = DEFAULT_BUDGET) -> tuple[FdrmCode, str
     except BudgetExceeded:
         return code, "unverified-at-scale"
     if not ok:
-        raise CodeError(
-            f"exhaustive distance below claimed {code.claimed_delta}"
-        )
+        raise CodeError(f"exhaustive distance below claimed {code.claimed_delta}")
     return code, "verified"
 
 
-def generator_subcode(
-    tower: FieldTower, G, diagram: FerrersDiagram, delta: int,
-    provenance: dict, r: int = 0,
-) -> FdrmCode:
+def generator_subcode(tower: FieldTower, G, diagram: FerrersDiagram, delta: int,
+                      provenance: dict, r: int = 0) -> FdrmCode:
     """The F_q-code of generator G with message coordinate i confined to
     span(beta_1, ..., beta_{gamma_i}), laid out on `diagram`.
 
@@ -501,17 +508,10 @@ def code_from_generator(tower: FieldTower, G, delta: int) -> FdrmCode:
     """Full-diagram code {psi(u G)} over F_q from the k rows G, each of n
     entries over the top field."""
     diagram = full_diagram(tower.top_degree, len(G[0]) if G else 0)
-    return generator_subcode(
-        tower, G, diagram, delta, {"construction": "generator-expansion"}
-    )
+    return generator_subcode(tower, G, diagram, delta, {"construction": "generator-expansion"})
 
 
-def mrd_check(
-    tower: FieldTower,
-    G,
-    delta: int,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
+def mrd_check(tower: FieldTower, G, delta: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the code of the generator rows G is MRD[t_l x n, delta]_q.
 
     Checks the dimension against max(m,n)(min(m,n)-delta+1) and then the

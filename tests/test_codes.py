@@ -1,8 +1,8 @@
 """Code model and verification engine tests.
 
-The fast packed-GF(2) enumeration is cross-checked against the generic
-odometer path on the same inputs (two independent routes to the minimum
-rank).
+The fast packed-GF(2) enumeration is cross-checked against a plain
+message-by-message walk ranked by `linalg.rank` on the same inputs (two
+independent routes to the minimum rank).
 """
 
 import random

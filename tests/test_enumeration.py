@@ -39,10 +39,11 @@ from fdrm.linalg import rank
 
 BUDGET = 1 << 24
 ENGINE = codes._min_rank
-# The largest dual, in codewords, that the cross-checks walk in full.  Outside
-# GF(2) the odometer ranks about 10^5 matrices a second, so walking every
-# dual that fits the budget would take minutes.
-DUAL_WALK_CAP = 1 << 13
+# The largest dual, in codewords, that the cross-checks walk in full, and the
+# largest code the random dual cross-checks draw.  The dual walk and the plain
+# reference walk both grow with it: 1 << 19 adds about a second to this file
+# over 1 << 13 on a 2-core machine.
+DUAL_WALK_CAP = 1 << 19
 
 
 # -- plain reference: every message, no projective reduction --

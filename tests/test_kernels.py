@@ -6,7 +6,9 @@
 rank-deficient batches.  The samplers are checked against their earlier
 loops, kept here as the reference: the byte-table GF(2) words must equal a
 per-basis XOR of the same draws, and both samplers must rank the same
-codewords in the same order across their chunk boundaries.
+codewords in the same order across their chunk boundaries.  The generic
+block walk `codes._coset_ranks` is checked against the odometer it
+replaced, also kept here: one `_flat_rank` per member, message by message.
 """
 
 import random
@@ -111,6 +113,126 @@ def test_rank_tables_are_the_field(p, s):
     assert mul.tolist() == [[f.mul(a, b) for b in els] for a in els]
     assert sub.tolist() == [[f.sub(a, b) for b in els] for a in els]
     assert inv.tolist() == [0] + [f.inv(a) for a in els if a]
+
+
+# -- the generic coset walk against the odometer it replaced --
+
+
+def _odometer_ranks(field, n: int, offset: list, span: list):
+    """The rank of every member of `offset` + GF(p)-span(`span`), one
+    `_flat_rank` per member; the message digits advance as an odometer, so
+    each step adds one basis matrix."""
+    add = field.add
+    p = field.p
+    K = len(span)
+    msg = [0] * K
+    cur = offset
+    for _ in range(p**K):
+        yield codes._flat_rank(field, n, cur)
+        for i in range(K):
+            cur = [add(a, b) for a, b in zip(cur, span[i])]
+            msg[i] += 1
+            if msg[i] < p:
+                break
+            msg[i] = 0
+
+
+def _odometer_walk(field, n: int, basis: list, e: int) -> list[int]:
+    """Ranks of the cosets basis[j] + span(basis[j+e:]), j = 0, e, 2e, ..."""
+    return [r for j in range(0, len(basis), e)
+            for r in _odometer_ranks(field, n, basis[j], basis[j + e :])]
+
+
+def _rank_one(rng, f, m: int, n: int) -> tuple[int, ...]:
+    """A flat m x n matrix u v^T over f, of rank at most 1, so that sums of a
+    few of them take every rank."""
+    u = [rng.randrange(f.order) for _ in range(m)]
+    v = [rng.randrange(f.order) for _ in range(n)]
+    return tuple(f.mul(a, b) for a in u for b in v)
+
+
+def _low_digits(p: int) -> int:
+    """L, the most span rows whose p^L combinations fill one 1024-word block
+    (each case below keeps m*n*s <= 64, so the digit cap does not bind)."""
+    low = 0
+    while p ** (low + 1) <= 1024:
+        low += 1
+    return low
+
+
+# (p, s, m, n): GF(3), GF(4), GF(5), GF(7), GF(8), GF(9), GF(243), GF(512), and
+# GF(31), whose digit sums overflow uint8 unless each is reduced mod p
+WALK_FIELDS = [(3, 1, 2, 3), (2, 2, 2, 3), (5, 1, 2, 2), (7, 1, 3, 2), (2, 3, 2, 2),
+               (3, 2, 3, 2), (3, 5, 2, 3), (2, 9, 3, 2), (31, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("shift", [None, -1, 0, 1], ids=["empty", "below", "at", "above"])
+@pytest.mark.parametrize("p, s, m, n", WALK_FIELDS, ids=[f"gf{p**s}" for p, s, *_ in WALK_FIELDS])
+def test_coset_walk_matches_odometer(p, s, m, n, shift):
+    """basis = [offset] + K span rows with e = 1: the cosets have K, K-1,
+    ..., 0 span rows, K = 0 (an empty span) or L - 1, L, L + 1."""
+    f = gf(p, s)
+    low = _low_digits(p)
+    K = 0 if shift is None else low + shift
+    assert m * n * s <= 64 and codes._block_words(f, m, n) == 1024
+    rng = random.Random(1000 * p + 10 * s + K)
+    basis = [_rank_one(rng, f, m, n) for _ in range(K + 1)]
+    basis[0] = tuple(f.add(a, b) for a, b in zip(basis[0], _rank_one(rng, f, m, n)))
+    blocks = list(codes._coset_ranks(f, m, n, basis, 1))
+    got = np.concatenate(blocks).tolist()
+    want = _odometer_walk(f, n, basis, 1)
+    assert sorted(got) == sorted(want)
+    assert min(got) == min(want)
+    assert max(map(len, blocks)) == p ** min(K, low)  # blocks reach the table's width
+
+
+# (p, s, m, n, k): the first coset's span of (k - 1) s rows reaches past one
+# block, bar GF(243) and GF(512), whose codes stay small for the odometer
+WALK_CODES = [(3, 1, 3, 3, 8), (2, 2, 3, 3, 7), (5, 1, 2, 3, 6), (7, 1, 2, 3, 5),
+              (2, 3, 2, 3, 5), (3, 2, 2, 3, 5), (3, 5, 2, 3, 2), (2, 9, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("p, s, m, n, k", WALK_CODES, ids=[f"gf{p**s}" for p, s, *_ in WALK_CODES])
+def test_min_rank_histogram_and_floor_match_odometer(p, s, m, n, k):
+    f = gf(p, s)
+    rng = random.Random(p * s + k)
+    while True:
+        basis = tuple(_rank_one(rng, f, m, n) for _ in range(k))
+        try:
+            code = FdrmCode(f, full_diagram(m, n), basis, 1, {"construction": "test"})
+            break
+        except codes.CodeError:
+            continue  # dependent basis
+    packed, expanded = codes._kernel_basis(f, n, code.basis)
+    assert not packed
+    ref = _odometer_walk(f, n, expanded, s)
+    assert codes._projective_min_rank(code, None) == min(ref)
+    for floor in (min(ref), min(ref) + 1):
+        got = codes._projective_min_rank(code, floor)
+        assert (got >= floor) == (min(ref) >= floor)
+        assert got >= min(ref)  # an early exit still reports a true rank
+    hist = [(f.order - 1) * ref.count(r) for r in range(min(m, n) + 1)]
+    hist[0] += 1
+    assert codes._rank_histogram(f, m, n, code.basis) == hist
+
+
+def test_floor_stops_the_walk_after_the_first_low_block(monkeypatch):
+    """Every nonzero 3 x 3 matrix has rank below 4, so with floor 4 the
+    projective walk must stop after its first block."""
+    code = _random_code(gf(3, 1), 3, 3, 8, seed=5)
+    walk, seen = codes._coset_ranks, []
+
+    def counted(*args):
+        for ranks in walk(*args):
+            seen.append(len(ranks))
+            yield ranks
+
+    monkeypatch.setattr(codes, "_coset_ranks", counted)
+    codes._projective_min_rank(code, None)
+    blocks = len(seen)
+    seen.clear()
+    assert codes._projective_min_rank(code, 4) < 4
+    assert len(seen) == 1 < blocks
 
 
 # -- the samplers against their earlier loops --
