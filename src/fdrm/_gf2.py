@@ -3,10 +3,11 @@
 Rows of an m x n binary matrix are packed into one unsigned integer each,
 bit j = column j.  A batch of B matrices is an (m, B) array: row i of
 every matrix, contiguous over the batch, so `rank_batch` eliminates with
-m whole-row sweeps.  Codewords of a binary coset (an offset plus the span
-of a basis) are generated in Gray-code order (one basis matrix XORed per
-step); random probes assemble each codeword from byte-group XOR tables of
-the basis.
+m whole-row sweeps.  Every table of codewords is a span table
+(`_span_table`): column v is the XOR of the basis matrices at the set bits
+of v.  A binary coset (an offset plus the span of a basis) is walked as one
+low span table XORed with each column of a high one; random probes
+assemble each codeword from byte-group span tables of the basis.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ _CHUNK_BITS = 18
 
 
 def _dtype_for(ncols: int):
-    if ncols <= 8:
-        return np.uint8
-    if ncols <= 16:
-        return np.uint16
-    if ncols <= 32:
-        return np.uint32
-    if ncols <= 64:
-        return np.uint64
-    raise ValueError("packed kernel supports at most 64 columns")
+    if ncols > 64:
+        raise ValueError("packed kernel supports at most 64 columns")
+    return np.min_scalar_type((1 << ncols) - 1)
 
 
 def pack_rows(rows, ncols: int) -> tuple[int, ...]:
@@ -60,43 +55,30 @@ def rank_batch(rows: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _gray_flip_indices(start: int, stop: int) -> np.ndarray:
-    """Index of the bit flipped at each Gray-code step t in [start, stop)."""
-    t = np.arange(start, stop, dtype=np.int64)
-    lows = t & -t
-    return np.log2(lows.astype(np.float64)).astype(np.int64)
+def _span_table(rows: np.ndarray) -> np.ndarray:
+    """The (m, 2^K) table of every XOR combination of the K packed matrices
+    in `rows`, a (K, m) array: column v is the XOR of rows i over the set
+    bits i of v."""
+    K, m = rows.shape
+    table = np.zeros((m, 1 << K), dtype=rows.dtype)
+    for i, row in enumerate(rows):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ row[:, None]
+    return table
 
 
 def _coset_ranks(basis_rows, ncols: int, offset):
     """Rank arrays of the coset `offset` + GF(2)-span(`basis_rows`).
 
-    All 2^K members are ranked, the zero message included, in blocks of up
-    to 2^18 (a low-digit Gray-code table XORed with one high-digit base).
+    All 2^K members are ranked, the zero message included, one block per
+    column of the base table: the span table of the first 18 matrices XORed
+    with one base, the offset plus a combination of the remaining K - 18.
     """
-    K = len(basis_rows)
-    m = len(offset)
     dtype = _dtype_for(ncols)
-    basis = np.array(basis_rows, dtype=dtype).reshape(K, m)
-
-    low_bits = min(K, _CHUNK_BITS)
-    n_low = 1 << low_bits
-    flips = _gray_flip_indices(1, n_low)
-    steps = basis[flips]
-    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
-    low_table = np.zeros((m, n_low), dtype=dtype)
-    low_table[:, 1:] = steps.T
-
-    high = K - low_bits
-    for outer in range(1 << high):
-        base = np.array(offset, dtype=dtype)
-        o = outer
-        j = 0
-        while o:
-            if o & 1:
-                base ^= basis[low_bits + j]
-            o >>= 1
-            j += 1
-        yield rank_batch(low_table ^ base[:, None])
+    basis = np.array(basis_rows, dtype=dtype).reshape(len(basis_rows), len(offset))
+    low = _span_table(basis[:_CHUNK_BITS])
+    bases = _span_table(basis[_CHUNK_BITS:]) ^ np.array(offset, dtype=dtype)[:, None]
+    for j in range(bases.shape[1]):
+        yield rank_batch(low ^ bases[:, j : j + 1])
 
 
 def min_rank_exhaustive(
@@ -111,10 +93,12 @@ def min_rank_exhaustive(
     `offset` is one packed-row tuple (length m) and `basis_rows` a sequence
     of K >= 0 such tuples.  All 2^K messages are ranked, the zero message
     included, so a coset that misses zero holds only nonzero codewords; an
-    empty basis ranks the offset alone.  When `floor` is given, enumeration
-    stops early once a codeword of rank below `floor` is found (the returned
-    value is still a true rank of some coset member, just not necessarily
-    the minimum).
+    empty basis ranks the offset alone.  The walk goes in blocks of 2^18
+    (the span table of the first 18 matrices), one per column of a base
+    table of 2^(K-18) columns; K <= 24 on every route the default budget
+    admits.  When `floor` is given, enumeration stops early after a block
+    holding a rank below `floor` (the returned value is still a true rank
+    of some coset member, just not necessarily the minimum).
     """
     best = len(offset) + 1
     for ranks in _coset_ranks(basis_rows, ncols, offset):
@@ -138,20 +122,12 @@ def _sampled_words(basis_rows, ncols: int, samples: int, seed: int):
 
     Each chunk of b <= 2^14 messages is drawn as a (b, K) 0/1 array, and a
     zero message gets its first digit set.  The words are assembled from
-    byte-group tables: table g holds, at column v, the XOR of basis
-    matrices 8g + i over the set bits i of v, and each message's bytes
-    pick one column per table.
+    byte-group span tables: table g is the span table of basis matrices
+    8g .. 8g + 7, and each message's bytes pick one column per table.
     """
     K = len(basis_rows)
-    m = len(basis_rows[0])
-    dtype = _dtype_for(ncols)
-    basis = np.array(basis_rows, dtype=dtype)
-    tables = []
-    for g in range(0, K, 8):
-        table = np.zeros((m, 256), dtype=dtype)
-        for i, row in enumerate(basis[g : g + 8]):
-            table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ row[:, None]
-        tables.append(table)
+    basis = np.array(basis_rows, dtype=_dtype_for(ncols))
+    tables = [_span_table(basis[g : g + 8]) for g in range(0, K, 8)]
     rng = np.random.default_rng(seed)
     chunk = 1 << 14
     done = 0

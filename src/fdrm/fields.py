@@ -179,6 +179,10 @@ class GF:
     arithmetic is used directly.  Building costs time that grows with the
     order, so degree 1..DEFAULT_MAX_DEGREE and order 2^DEFAULT_MAX_DEGREE
     are checked first, before p is tested for primality.
+
+    `inv` and `pow_` raise FieldError on anything `check` rejects.  `add`,
+    `sub`, `neg` and `mul` run once per matrix entry, so they do not check:
+    they take only elements that `check` accepts.
     """
 
     def __init__(self, p: int, n: int):
@@ -317,7 +321,7 @@ class GF:
         return _undigits(prod, self.p)
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.check(a) == 0:
             raise ZeroDivisionError("zero has no inverse")
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
@@ -327,6 +331,7 @@ class GF:
         return self.mul(a, self.inv(b))
 
     def pow_(self, a: int, e: int) -> int:
+        self.check(a)
         if e == 0:
             return 1
         if a == 0:

@@ -80,7 +80,7 @@ def test_min_rank_budget_and_zero_dim():
 
 
 def test_fast_path_matches_generic_path():
-    # packed Gray enumeration vs a plain walk with generic ranks
+    # packed span-table enumeration vs a plain walk with generic ranks
     from fdrm import codes as codes_mod
 
     rng = random.Random(41)

@@ -205,6 +205,22 @@ def test_f9_is_a_field():
 # -- tower construction --
 
 
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 21)])
+def test_inv_and_pow_reject_non_elements(p, n):
+    # (2, 21) is past the log/antilog tables, so the polynomial path runs.
+    f = gf(p, n)
+    for bad in (-1, f.order, 1.0):
+        with pytest.raises(FieldError):
+            f.inv(bad)
+        with pytest.raises(FieldError):
+            f.pow_(bad, 2)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    a = f.order - 1
+    assert f.mul(a, f.inv(a)) == 1
+    assert f.pow_(a, 2) == f.mul(a, a)
+
+
 def test_build_tower_basic():
     t = build_tower(2, 1, (2,))
     assert t.betas[0] == 1

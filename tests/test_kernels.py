@@ -3,7 +3,10 @@
 `_gf2.rank_batch` (packed GF(2), one (m, B) row layout) and
 `codes._table_ranks` (field tables, an (m, n, B) batch) are checked against
 `fields.eliminate` and `codes._flat_rank` on random and deliberately
-rank-deficient batches.  The samplers are checked against their earlier
+rank-deficient batches.  The GF(2) coset walk `_gf2._coset_ranks`, whose
+tables are all built by `_gf2._span_table`, is checked against the
+Gray-code walk it replaced, kept here: the same blocks in the same order,
+each holding the same ranks.  The samplers are checked against their earlier
 loops, kept here as the reference: the byte-table GF(2) words must equal a
 per-basis XOR of the same draws, and both samplers must rank the same
 codewords in the same order across their chunk boundaries.  The generic
@@ -66,6 +69,98 @@ def test_rank_batch_matches_eliminate(ncols):
         want = [len(eliminate([_unpack(v, ncols) for v in mat], F2)) for mat in mats]
         assert got == want
         assert 0 in want  # the all-zero matrix is in every batch
+
+
+# -- packed GF(2) span tables and the exhaustive coset walk --
+
+
+def _gray_coset_ranks(basis_rows, ncols: int, offset):
+    """The coset walk before span tables: a low Gray-code table from float
+    log2 flip indices and an XOR accumulate, XORed with high-digit bases
+    built one set bit at a time."""
+    K = len(basis_rows)
+    m = len(offset)
+    dtype = _gf2._dtype_for(ncols)
+    basis = np.array(basis_rows, dtype=dtype).reshape(K, m)
+    low_bits = min(K, 18)
+    n_low = 1 << low_bits
+    t = np.arange(1, n_low, dtype=np.int64)
+    flips = np.log2((t & -t).astype(np.float64)).astype(np.int64)
+    steps = basis[flips]
+    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+    low_table = np.zeros((m, n_low), dtype=dtype)
+    low_table[:, 1:] = steps.T
+    for outer in range(1 << (K - low_bits)):
+        base = np.array(offset, dtype=dtype)
+        o, j = outer, 0
+        while o:
+            if o & 1:
+                base ^= basis[low_bits + j]
+            o >>= 1
+            j += 1
+        yield _gf2.rank_batch(low_table ^ base[:, None])
+
+
+def _gray_min_rank(basis_rows, ncols: int, floor, offset) -> int:
+    best = len(offset) + 1
+    for ranks in _gray_coset_ranks(basis_rows, ncols, offset):
+        best = min(best, int(ranks.min()))
+        if floor is not None and best < floor:
+            break
+    return best
+
+
+def _random_coset(rng, K: int, m: int, ncols: int, zero_offset: bool):
+    basis = [tuple(rng.getrandbits(ncols) for _ in range(m)) for _ in range(K)]
+    offset = (0,) * m if zero_offset else tuple(rng.getrandbits(ncols) for _ in range(m))
+    return basis, offset
+
+
+@pytest.mark.parametrize("ncols", [1, 8, 9, 16, 17, 33, 64])
+@pytest.mark.parametrize("K", [0, 1, 7, 8, 17, 18, 19, 20])
+def test_coset_walk_matches_gray_walk(K, ncols):
+    rng = random.Random(100 * K + ncols)
+    m = 3
+    for zero_offset in (True, False):
+        basis, offset = _random_coset(rng, K, m, ncols, zero_offset)
+        got = list(_gf2._coset_ranks(basis, ncols, offset))
+        want = list(_gray_coset_ranks(basis, ncols, offset))
+        assert len(got) == len(want) == 1 << max(0, K - 18)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.sort(g), np.sort(w))
+        for floor in (None, 1, 2, m):
+            assert _gf2.min_rank_exhaustive(
+                basis, ncols, floor, offset=offset
+            ) == _gray_min_rank(basis, ncols, floor, offset)
+        want_hist = np.bincount(np.concatenate(want), minlength=m + 1).tolist()
+        assert _gf2.rank_histogram(basis, ncols, offset=offset) == want_hist
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 8])
+def test_span_table_columns_are_xors_of_rows(K):
+    rng = random.Random(K)
+    m, ncols = 4, 37
+    rows = np.array(
+        [[rng.getrandbits(ncols) for _ in range(m)] for _ in range(K)],
+        dtype=_gf2._dtype_for(ncols),
+    ).reshape(K, m)
+    table = _gf2._span_table(rows)
+    assert table.shape == (m, 1 << K) and table.dtype == rows.dtype
+    for v in range(1 << K):
+        want = np.zeros(m, dtype=rows.dtype)
+        for i in range(K):
+            if v >> i & 1:
+                want ^= rows[i]
+        assert np.array_equal(table[:, v], want), v
+
+
+def test_dtype_for_is_the_narrowest_unsigned_type():
+    widths = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+    for n in range(65):
+        want = next(t for w, t in widths if n <= w)
+        assert np.dtype(_gf2._dtype_for(n)) == np.dtype(want), n
+    with pytest.raises(ValueError):
+        _gf2._dtype_for(65)
 
 
 # -- the table kernel over other fields --

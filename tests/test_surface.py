@@ -32,6 +32,19 @@ def test_every_traced_target_resolves():
         assert hasattr(fn, "cache_info") or not cached, f"fdrm.{module}.{function}"
 
 
+def test_traced_kernels_keep_their_call_shapes():
+    # spans.py reads the basis from args[0], floor from kwargs or args[2],
+    # and samples from kwargs or args[2]; a reordered signature would zero
+    # the gf2.* per-layer metrics without any error.
+    from fdrm import _gf2
+
+    exhaustive = inspect.signature(_gf2.min_rank_exhaustive).parameters
+    assert list(exhaustive)[:3] == ["basis_rows", "ncols", "floor"]
+    assert "offset" in exhaustive
+    sampled = inspect.signature(_gf2.min_rank_sampled).parameters
+    assert list(sampled)[:4] == ["basis_rows", "ncols", "samples", "seed"]
+
+
 def _texts_without(name):
     """The package modules (bar `__init__`) with the top-level definition
     of `name` cut out, then every demo and the README."""
